@@ -12,7 +12,7 @@ from .augment import AugmentSpec, band_reject, mix_noise, synth_noise
 from .metrics import (EvalReport, MatchedPairs, RateResult, SyllableCount, boundary_mad, ddk_rate,
                       ddk_rate_vot_only, duration_stats, evaluate_pairs, f1_scores, frame_accuracy,
                       match_segments, trim_outliers)
-from .models import (FramePrediction, ModelConfig, Segmenter, build_model, load_checkpoint,
+from .models import (FramePrediction, ModelConfig, Segmenter, load_checkpoint,
                      predict_file, predict_window, save_checkpoint)
 from .postproc import (OTHER, VOT, VOWEL, Segment, apply_min_durations, group_frames, merge_vot_gaps,
                        postprocess, rasterize, read_segments_csv, write_segments_csv, write_textgrid)

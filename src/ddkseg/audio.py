@@ -8,13 +8,13 @@ is what the rest of the pipeline assumes.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .dsp import resample_kaiser
-from .errors import InternalError, MalformedRiffError, UnsupportedEncodingError
+from .errors import DataError, InternalError
 
 MODEL_RATE_HZ = 16000
 SAMPLES_PER_MS = MODEL_RATE_HZ // 1000
@@ -77,7 +77,7 @@ def read_wav(path) -> Waveform:
     """Read a 16-bit PCM RIFF/WAVE file (mono or stereo; stereo is averaged)."""
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise MalformedRiffError(f"{path}: not a RIFF/WAVE file")
+        raise DataError(f"{path}: not a RIFF/WAVE file")
 
     fmt = None
     payload = None
@@ -88,22 +88,22 @@ def read_wav(path) -> Waveform:
         body = data[offset + 8:offset + 8 + chunk_size]
         if chunk_id == b"fmt ":
             if len(body) < 16:
-                raise MalformedRiffError(f"{path}: fmt chunk truncated")
+                raise DataError(f"{path}: fmt chunk truncated")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif chunk_id == b"data":
             if len(body) < chunk_size:
-                raise MalformedRiffError(f"{path}: data chunk truncated")
+                raise DataError(f"{path}: data chunk truncated")
             payload = body
         offset += 8 + chunk_size + (chunk_size & 1)  # chunks are word aligned
 
     if fmt is None or payload is None:
-        raise MalformedRiffError(f"{path}: missing fmt or data chunk")
+        raise DataError(f"{path}: missing fmt or data chunk")
     audio_format, channels, sample_rate, _byte_rate, _block_align, bits = fmt
     if audio_format != 1 or bits != 16:
-        raise UnsupportedEncodingError(
+        raise DataError(
             f"{path}: only 16-bit integer PCM is supported (format={audio_format}, bits={bits})")
     if channels not in (1, 2):
-        raise UnsupportedEncodingError(f"{path}: expected 1 or 2 channels, got {channels}")
+        raise DataError(f"{path}: expected 1 or 2 channels, got {channels}")
 
     raw = np.frombuffer(payload[:len(payload) - len(payload) % (2 * channels)], dtype="<i2")
     if channels == 2:

@@ -25,9 +25,6 @@ class AugmentSpec:
     band_center_hz: tuple[float, float] = (500.0, 6000.0)
     band_width_hz: tuple[float, float] = (200.0, 1000.0)
 
-    def modes(self) -> tuple[str, ...]:
-        return ("clean",) + tuple(f"noise@{int(s)}dB" for s in self.snr_choices_db) + ("band-reject",)
-
 
 def mix_noise(signal: Waveform, noise: Waveform, snr_db: float) -> Waveform:
     """Add noise scaled so 20*log10(rms_signal / rms_noise) equals snr_db.
@@ -83,9 +80,10 @@ def synth_noise(kind: str, duration_s: float, seed: int, sample_rate_hz: int = 1
 
 
 def augment_wave(wave: Waveform, rng: np.random.Generator, spec: AugmentSpec | None = None) -> Waveform:
-    """Draw one augmentation mode uniformly and apply it."""
+    """Draw one augmentation mode uniformly and apply it: clean, noise at
+    one of spec.snr_choices_db (each a mode of its own), or band-reject."""
     spec = spec or AugmentSpec()
-    modes = spec.modes()
+    modes = ("clean", *spec.snr_choices_db, "band-reject")
     mode = modes[int(rng.integers(len(modes)))]
     if mode == "clean":
         return wave
@@ -96,7 +94,6 @@ def augment_wave(wave: Waveform, rng: np.random.Generator, spec: AugmentSpec | N
         low = max(50.0, center - width / 2.0)
         high = min(nyquist - 50.0, center + width / 2.0)
         return band_reject(wave, low, high)
-    snr_db = float(mode.removeprefix("noise@").removesuffix("dB"))
     noise = synth_noise("broadband-lowpass", len(wave) / wave.sample_rate_hz + 1e-9,
                         seed=int(rng.integers(2 ** 63)), sample_rate_hz=wave.sample_rate_hz)
-    return mix_noise(wave, noise, snr_db)
+    return mix_noise(wave, noise, mode)

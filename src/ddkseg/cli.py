@@ -13,7 +13,6 @@ import csv
 import json
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, DataError
@@ -86,9 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_synth(args) -> int:
-    ratios = tuple(float(x) for x in args.split.split(","))
+    try:
+        ratios = tuple(float(x) for x in args.split.split(","))
+    except ValueError:
+        ratios = ()
     if len(ratios) != 3:
-        raise ConfigError(f"--split needs three ratios, got {args.split!r}")
+        raise ConfigError(f"--split needs three numeric ratios, got {args.split!r}")
     if not 1 <= args.min_syllables <= args.max_syllables:
         raise ConfigError("need 1 <= --min-syllables <= --max-syllables")
     try:
@@ -111,6 +113,8 @@ def _load_train_configs(args) -> tuple[ModelConfig, TrainConfig]:
             data = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path}: expected a JSON object with \"model\" and/or \"train\"")
         unknown = set(data) - {"model", "train"}
         if unknown:
             raise ConfigError(f"{path}: unknown top-level keys {sorted(unknown)}")
@@ -118,30 +122,19 @@ def _load_train_configs(args) -> tuple[ModelConfig, TrainConfig]:
         train_over = data.get("train", {})
 
     base = ModelConfig.cnn_default() if args.arch == "cnn" else ModelConfig.lstm_default()
-    if "architecture" in model_over and model_over["architecture"] != args.arch:
-        raise ConfigError("config file architecture conflicts with --arch")
-    model_cfg = ModelConfig.from_dict({**base.to_dict(), **model_over})
-
-    known = set(TrainConfig.__dataclass_fields__) - {"augment_spec"}
-    unknown = set(train_over) - known
-    if unknown:
-        raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-    train_cfg = TrainConfig(**train_over)
-    flags = {"seed": args.seed}
-    if args.epochs is not None:
-        flags["max_epochs"] = args.epochs
-    if args.patience is not None:
-        flags["patience"] = args.patience
-    if args.batch_size is not None:
-        flags["batch_size"] = args.batch_size
-    if args.lr is not None:
-        flags["lr"] = args.lr
-    if args.no_augment:
-        flags["augment"] = False
+    flags = {"max_epochs": args.epochs, "patience": args.patience, "batch_size": args.batch_size,
+             "lr": args.lr, "augment": False if args.no_augment else None}
+    flags = {k: v for k, v in flags.items() if v is not None}
     try:
-        train_cfg = replace(train_cfg, **flags)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        if "architecture" in model_over and model_over["architecture"] != args.arch:
+            raise ConfigError("config file architecture conflicts with --arch")
+        unknown = set(train_over) - (set(TrainConfig.__dataclass_fields__) - {"augment_spec"})
+        if unknown:
+            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
+        model_cfg = ModelConfig.from_dict({**base.to_dict(), **model_over})
+        train_cfg = TrainConfig(**{**train_over, **flags, "seed": args.seed})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid config: {exc}") from exc
     return model_cfg, train_cfg
 
 
@@ -164,14 +157,22 @@ def cmd_train(args) -> int:
 
 
 def cmd_segment(args) -> int:
+    """Segment every readable input; an unreadable one is reported on stderr
+    and skipped, and the command exits 2 once all inputs were tried."""
     model, _ = load_checkpoint(args.checkpoint)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    failed = 0
     for wav_path in sorted(args.inputs):
         wav_path = Path(wav_path)
-        if not wav_path.is_file():
-            raise DataError(f"input not found: {wav_path}")
-        wave = read_wav(wav_path)
+        try:
+            if not wav_path.is_file():
+                raise DataError(f"input not found: {wav_path}")
+            wave = read_wav(wav_path)
+        except (DataError, OSError) as exc:
+            print(f"ddkseg: {exc}", file=sys.stderr)
+            failed += 1
+            continue
         pred = predict_file(model, wave)
         segments = postprocess(pred.labels)
         out_csv = out_dir / (wav_path.stem + ".csv")
@@ -179,6 +180,8 @@ def cmd_segment(args) -> int:
         if args.textgrid:
             write_textgrid(out_dir / (wav_path.stem + ".TextGrid"), segments, len(pred))
         print(out_csv)
+    if failed:
+        raise DataError(f"{failed} of {len(args.inputs)} inputs could not be read")
     return EXIT_OK
 
 
@@ -202,9 +205,13 @@ def _load_windows_csv(path) -> dict[str, tuple[float, float]]:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["path", "start_s", "end_s"]:
             raise DataError(f"{path}: expected header path,start_s,end_s")
-        for row in reader:
-            if row:
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
                 out[row[0]] = (float(row[1]), float(row[2]))
+            except (IndexError, ValueError) as exc:
+                raise DataError(f"{path}:{lineno}: expected path,start_s,end_s, got {row!r}") from exc
     return out
 
 

@@ -1,42 +1,20 @@
-"""Exception types shared across the package.
+"""Exception types the CLI maps onto exit codes.
 
-The CLI maps these onto exit codes, so keep the hierarchy small and flat:
-anything a user can cause with bad inputs derives from DataError, anything
-that indicates a bug in this package derives from InternalError.
+ConfigError is a bad model, training or run configuration (exit 1);
+DataError is bad user-supplied data, such as an unreadable WAV, CSV or
+checkpoint (exit 2); InternalError is a violated invariant, i.e. a bug in
+this package. Programmatic misuse of the library (wrong shapes, labels
+outside the vocabulary, non-finite gradients) raises ValueError.
 """
 
 
-class DdksegError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class DataError(DdksegError):
-    """Bad user-supplied data (files, CSV contents, label vocabularies)."""
-
-
-class MalformedRiffError(DataError):
-    """File is not a well-formed RIFF/WAVE container."""
-
-
-class UnsupportedEncodingError(DataError):
-    """WAV file uses an encoding other than 16-bit integer PCM, 1-2 channels."""
-
-
-class ConfigError(DdksegError):
+class ConfigError(Exception):
     """Invalid model, training, or run configuration."""
 
 
-class ShapeError(DdksegError):
-    """Tensor arguments have inconsistent shapes."""
+class DataError(Exception):
+    """Bad user-supplied data (files, CSV contents, label vocabularies)."""
 
 
-class LabelError(DdksegError):
-    """Class label outside the supported vocabulary."""
-
-
-class OptimizerError(DdksegError):
-    """Optimization cannot continue (e.g. non-finite gradients)."""
-
-
-class InternalError(DdksegError):
+class InternalError(Exception):
     """Invariant violated; indicates a bug rather than bad input."""

@@ -211,7 +211,6 @@ class EvalReport:
     rates: list[tuple[str, float | None, float | None]]  # (trial id, predicted, target)
     rate_pearson_r: float | None
     rate_mae: float | None
-    frame_accuracy: float | None = None
 
     def to_rows(self) -> list[tuple[str, str]]:
         rows = []
@@ -227,8 +226,6 @@ class EvalReport:
             rows += [(f"{tag}_duration_r", _fmt(st[0] if st else None)),
                      (f"{tag}_duration_mae_s", _fmt(st[1] if st else None))]
         rows += [("rate_pearson_r", _fmt(self.rate_pearson_r)), ("rate_mae_syll_per_s", _fmt(self.rate_mae))]
-        if self.frame_accuracy is not None:
-            rows.append(("frame_accuracy", _fmt(self.frame_accuracy)))
         return rows
 
     def format_table(self) -> str:
@@ -269,7 +266,7 @@ def evaluate_pairs(trials: list[tuple[str, list[Segment], list[Segment]]]) -> Ev
                       tgt_rate.rate_per_s if tgt_rate else None))
 
     both = [(p, t) for _, p, t in rates if p is not None and t is not None]
-    rate_r = pearson(np.array([p for p, _ in both]), np.array([t for _, t in both])) if len(both) >= 2 else None
+    rate_r = pearson([p for p, _ in both], [t for _, t in both])
     rate_mae = float(np.mean([abs(p - t) for p, t in both])) if both else None
 
     mad_on, mad_mid, mad_off = boundary_mad(pooled)

@@ -12,21 +12,30 @@ millisecond.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import nn
-from .audio import MODEL_RATE_HZ, SAMPLES_PER_MS, Waveform, WindowPlan, cut_windows, resample, stitch_predictions
+from .audio import MODEL_RATE_HZ, SAMPLES_PER_MS, Waveform, cut_windows, resample, stitch_predictions
 from .errors import ConfigError, DataError, InternalError
 
-FRAMES_PER_SECOND = 1000
 CHECKPOINT_VERSION = 1
+# Fields of version-1 checkpoints that no longer exist; neither changed the model.
+_RETIRED_CONFIG_KEYS = ("frame_rate_ms", "allow_custom_shapes")
 
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Layer shapes of one segmenter: the defaults are the default "lstm"
+    model, cnn_default() the default "cnn" model.
+
+    The conv lists hold one entry per conv block, and their strides must
+    multiply to 16, one frame per ms at 16 kHz. "cnn" has no LSTM layers
+    (lstm_layers=0); "lstm" has at least one.
+    """
+
     architecture: str = "lstm"
     conv_channels: tuple[int, ...] = (32, 64, 64, 128, 128)
     conv_kernels: tuple[int, ...] = (16, 5, 5, 3, 3)
@@ -39,10 +48,6 @@ class ModelConfig:
     n_classes: int = 3
     dropout_p: float = 0.1
     leaky_slope: float = 0.01
-    frame_rate_ms: int = 1
-    # Test-only escape hatch for scaled-down clones; the layer-count
-    # invariants stay enforced for ordinary configs.
-    allow_custom_shapes: bool = False
 
     @classmethod
     def lstm_default(cls) -> "ModelConfig":
@@ -70,19 +75,12 @@ class ModelConfig:
         if stride_product != SAMPLES_PER_MS:
             raise ConfigError(f"conv stride product must be {SAMPLES_PER_MS} "
                               f"(one frame per ms at {MODEL_RATE_HZ} Hz), got {stride_product}")
-        if self.frame_rate_ms != 1:
-            raise ConfigError("frame_rate_ms is fixed at 1")
         if self.architecture not in ("lstm", "cnn"):
             raise ConfigError(f"unknown architecture {self.architecture!r}")
-        if not self.allow_custom_shapes:
-            if self.architecture == "lstm" and (n != 5 or self.lstm_layers != 2):
-                raise ConfigError(f"lstm architecture needs exactly 5 conv layers and 2 LSTM layers, "
-                                  f"got {n} and {self.lstm_layers}")
-            if self.architecture == "cnn" and (n != 10 or self.lstm_layers != 0):
-                raise ConfigError(f"cnn architecture needs exactly 10 conv layers and no LSTM, "
-                                  f"got {n} and {self.lstm_layers}")
-        if self.architecture == "lstm" and self.lstm_hidden < 1:
-            raise ConfigError("lstm architecture needs lstm_hidden >= 1")
+        if self.architecture == "cnn" and self.lstm_layers != 0:
+            raise ConfigError(f"cnn architecture has no LSTM layers, got lstm_layers={self.lstm_layers}")
+        if self.architecture == "lstm" and (self.lstm_layers < 1 or self.lstm_hidden < 1):
+            raise ConfigError("lstm architecture needs lstm_layers >= 1 and lstm_hidden >= 1")
 
     def receptive_field_samples(self) -> int:
         rf, jump = 1, 1
@@ -97,6 +95,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
+        data = {k: v for k, v in data.items() if k not in _RETIRED_CONFIG_KEYS}
         known = set(cls.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:
@@ -166,12 +165,14 @@ class Segmenter:
         out.update({f"head.{k}": v for k, v in self.head.named_grads().items()})
         return out
 
-    def extra_state(self) -> dict[str, np.ndarray]:
-        out = {}
+    def checkpoint_arrays(self) -> dict[str, np.ndarray]:
+        """Live views of every array a checkpoint holds: "param/<name>" for
+        the trainable parameters, "state/<name>" for BatchNorm moments."""
+        out = {f"param/{k}": v for k, v in self.named_params().items()}
         for prefix, seq in (("conv", self.conv), ("head", self.head)):
             for i, layer in enumerate(seq.layers):
                 for k, v in layer.extra_state().items():
-                    out[f"{prefix}.{i}.{k}"] = v
+                    out[f"state/{prefix}.{i}.{k}"] = v
         return out
 
     def frame_count(self, n_samples: int) -> int:
@@ -207,16 +208,12 @@ class Segmenter:
         return loss, self.named_grads()
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in {**self.named_params(), **self.extra_state()}.items()}
+        return {k: v.copy() for k, v in self.checkpoint_arrays().items()}
 
     def restore(self, snapshot: dict[str, np.ndarray]) -> None:
-        live = {**self.named_params(), **self.extra_state()}
+        live = self.checkpoint_arrays()
         for k, v in snapshot.items():
             live[k][...] = v
-
-
-def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> Segmenter:
-    return Segmenter(cfg, seed=seed, dtype=dtype)
 
 
 def predict_window(model: Segmenter, window: Waveform) -> FramePrediction:
@@ -242,10 +239,11 @@ def predict_window(model: Segmenter, window: Waveform) -> FramePrediction:
     return FramePrediction(labels, probs.astype(np.float32), padded=padded)
 
 
-def predict_file(model: Segmenter, wave: Waveform, plan: WindowPlan | None = None) -> FramePrediction:
+def predict_file(model: Segmenter, wave: Waveform) -> FramePrediction:
     """Resample, window, classify, and stitch a whole recording.
 
-    Output length equals the model-rate waveform's duration_ms; when
+    The windows' probabilities are stitched and each frame's label is their
+    argmax. Output length equals the model-rate waveform's duration_ms; when
     rounding puts duration_ms one past the last full frame, the final frame
     repeats the last prediction.
     """
@@ -263,16 +261,14 @@ def predict_file(model: Segmenter, wave: Waveform, plan: WindowPlan | None = Non
 
     preds = []
     any_padded = False
-    for start_ms, window in cut_windows(wave16, plan):
+    for start_ms, window in cut_windows(wave16):
         pred = predict_window(model, window)
         any_padded = any_padded or pred.padded
-        preds.append((start_ms, pred))
-    labels = stitch_predictions([(s, p.labels) for s, p in preds], covered_ms)
-    probs = stitch_predictions([(s, p.probs) for s, p in preds], covered_ms)
+        preds.append((start_ms, pred.probs))
+    probs = stitch_predictions(preds, covered_ms)
     if duration_ms > covered_ms:
-        labels = np.concatenate([labels, labels[-1:].repeat(duration_ms - covered_ms)])
         probs = np.concatenate([probs, np.repeat(probs[-1:], duration_ms - covered_ms, axis=0)])
-    return FramePrediction(labels, probs, padded=any_padded)
+    return FramePrediction(np.argmax(probs, axis=1).astype(np.int8), probs, padded=any_padded)
 
 
 def save_checkpoint(path, model: Segmenter, meta: dict | None = None) -> None:
@@ -282,9 +278,8 @@ def save_checkpoint(path, model: Segmenter, meta: dict | None = None) -> None:
         "config": model.cfg.to_dict(),
         "meta": meta or {},
     }
-    arrays = {f"param/{k}": v for k, v in model.named_params().items()}
-    arrays.update({f"state/{k}": v for k, v in model.extra_state().items()})
-    np.savez(path, __header__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)
+    np.savez(path, __header__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+             **model.checkpoint_arrays())
 
 
 def load_checkpoint(path) -> tuple[Segmenter, dict]:
@@ -298,8 +293,7 @@ def load_checkpoint(path) -> tuple[Segmenter, dict]:
                 raise DataError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
             cfg = ModelConfig.from_dict(header["config"])
             model = Segmenter(cfg, seed=0)
-            live = {**{f"param/{k}": v for k, v in model.named_params().items()},
-                    **{f"state/{k}": v for k, v in model.extra_state().items()}}
+            live = model.checkpoint_arrays()
             stored = {k: data[k] for k in data.files if k != "__header__"}
             if set(stored) != set(live):
                 raise DataError(f"{path}: checkpoint keys do not match architecture")
@@ -308,6 +302,6 @@ def load_checkpoint(path) -> tuple[Segmenter, dict]:
                     raise DataError(f"{path}: shape mismatch for {k}: "
                                     f"{v.shape} stored vs {live[k].shape} expected")
                 live[k][...] = v
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, ConfigError) as exc:
         raise DataError(f"{path}: unreadable checkpoint ({exc})") from exc
     return model, header.get("meta", {})

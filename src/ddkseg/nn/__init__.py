@@ -2,19 +2,18 @@
 
 Only the pieces the two segmenter architectures need: 1-D convolution,
 batch normalization, leaky ReLU, dropout, a bidirectional LSTM layer,
-fully-connected layers, softmax cross-entropy, the Adam optimizer, and a
-finite-difference gradient checker.
+fully-connected layers, softmax cross-entropy and the Adam optimizer.
+Misuse (wrong shapes, labels out of range, non-finite gradients) raises
+ValueError.
 """
 
 from .adam import AdamState, adam_step, init_adam
-from .gradcheck import grad_check
 from .layers import BatchNorm1d, Conv1d, Dropout, Layer, LeakyReLU, Linear, Sequential
 from .loss import softmax_cross_entropy, softmax_probs
 from .lstm import BiLSTM
-from .ops import sigmoid
 
 __all__ = [
-    "AdamState", "adam_step", "init_adam", "grad_check",
+    "AdamState", "adam_step", "init_adam",
     "BatchNorm1d", "Conv1d", "Dropout", "Layer", "LeakyReLU", "Linear", "Sequential",
-    "softmax_cross_entropy", "softmax_probs", "BiLSTM", "sigmoid",
+    "softmax_cross_entropy", "softmax_probs", "BiLSTM",
 ]

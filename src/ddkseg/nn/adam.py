@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import OptimizerError
-
 
 @dataclass
 class AdamState:
@@ -32,11 +30,11 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
     """One bias-corrected Adam update, in place on the parameter arrays."""
     missing = set(params) - set(grads)
     if missing:
-        raise OptimizerError(f"gradients missing for parameters: {sorted(missing)}")
+        raise ValueError(f"gradients missing for parameters: {sorted(missing)}")
     for key, grad in grads.items():
         if key in params and not np.all(np.isfinite(grad)):
             bad = int(np.sum(~np.isfinite(grad)))
-            raise OptimizerError(
+            raise ValueError(
                 f"non-finite gradient for {key!r}: {bad}/{grad.size} entries at step {state.step_count + 1}")
 
     state.step_count += 1

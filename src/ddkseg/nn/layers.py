@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError
 from .ops import kaiming_uniform
 
 
@@ -60,10 +59,10 @@ class Conv1d(Layer):
     def forward(self, x, train=False, rng=None):
         batch, channels, length = x.shape
         if channels != self.in_channels:
-            raise ShapeError(f"conv1d expects {self.in_channels} input channels, got {channels}")
+            raise ValueError(f"conv1d expects {self.in_channels} input channels, got {channels}")
         out_len = conv_output_length(length, self.kernel, self.stride, self.padding, self.dilation)
         if out_len <= 0:
-            raise ShapeError(f"conv1d input length {length} too short for kernel "
+            raise ValueError(f"conv1d input length {length} too short for kernel "
                              f"{self.kernel} (dilation {self.dilation}, padding {self.padding})")
         xp = np.pad(x, ((0, 0), (0, 0), (self.padding, self.padding))) if self.padding else x
         span = (out_len - 1) * self.stride + 1
@@ -117,7 +116,7 @@ class BatchNorm1d(Layer):
 
     def forward(self, x, train=False, rng=None):
         if x.shape[1] != self.channels:
-            raise ShapeError(f"batchnorm expects {self.channels} channels, got {x.shape[1]}")
+            raise ValueError(f"batchnorm expects {self.channels} channels, got {x.shape[1]}")
         gamma = self.params["gamma"][None, :, None]
         beta = self.params["beta"][None, :, None]
         if train:
@@ -208,7 +207,7 @@ class Linear(Layer):
 
     def forward(self, x, train=False, rng=None):
         if x.shape[-1] != self.in_features:
-            raise ShapeError(f"linear expects {self.in_features} features, got {x.shape[-1]}")
+            raise ValueError(f"linear expects {self.in_features} features, got {x.shape[-1]}")
         x2 = x.reshape(-1, self.in_features)
         out = x2 @ self.params["weight"].T + self.params["bias"]
         self._cache = (x2, x.shape)

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import LabelError
-
 
 def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray,
                           class_weights: np.ndarray | None = None) -> tuple[float, np.ndarray]:
@@ -22,7 +20,7 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray,
     if y.size != flat.shape[0]:
         raise ValueError(f"targets shape {np.shape(targets)} does not match logits {logits.shape}")
     if y.size and (y.min() < 0 or y.max() >= n_classes):
-        raise LabelError(f"targets must lie in [0, {n_classes}), got range "
+        raise ValueError(f"targets must lie in [0, {n_classes}), got range "
                          f"[{int(y.min())}, {int(y.max())}]")
 
     shifted = flat - flat.max(axis=1, keepdims=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError
 from .layers import Layer
 from .ops import uniform_fan
 
@@ -38,9 +37,6 @@ class BiLSTM(Layer):
             self.params[f"{direction}_w_hh"] = uniform_fan(rng, (4 * hidden_size, hidden_size), hidden_size, dtype)
             self.params[f"{direction}_b"] = uniform_fan(rng, (4 * hidden_size,), hidden_size, dtype)
         self._cache = None
-
-    def output_size(self) -> int:
-        return 2 * self.hidden_size
 
     def _run_direction(self, x_tm: np.ndarray, direction: str):
         """x_tm is time-major (T, B, I); returns (h (T, B, H), cache)."""
@@ -113,7 +109,7 @@ class BiLSTM(Layer):
 
     def forward(self, x, train=False, rng=None):
         if x.ndim != 3 or x.shape[2] != self.input_size:
-            raise ShapeError(f"bilstm expects (batch, time, {self.input_size}), got {x.shape}")
+            raise ValueError(f"bilstm expects (batch, time, {self.input_size}), got {x.shape}")
         batch, t_len, _ = x.shape
         if t_len == 0:
             self._cache = None

@@ -1,18 +1,8 @@
-"""Elementwise helpers shared by the layer implementations."""
+"""Parameter initializers shared by the layer implementations."""
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function (no overflow warnings)."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype) -> np.ndarray:

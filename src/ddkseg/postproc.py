@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, LabelError
+from .errors import DataError
 
 OTHER, VOT, VOWEL = 0, 1, 2
 LABEL_NAMES = {OTHER: "other", VOT: "vot", VOWEL: "vowel"}
@@ -38,7 +38,7 @@ class Segment:
 
     def __post_init__(self):
         if self.label not in LABEL_NAMES:
-            raise LabelError(f"unknown label id {self.label}")
+            raise ValueError(f"unknown label id {self.label}")
         if not 0 <= self.onset_ms < self.offset_ms:
             raise ValueError(f"need 0 <= onset < offset, got [{self.onset_ms}, {self.offset_ms})")
 

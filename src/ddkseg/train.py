@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .audio import SAMPLES_PER_MS, Waveform
+from .audio import SAMPLES_PER_MS
 from .augment import AugmentSpec, augment_wave
 from .errors import DataError
 from .models import ModelConfig, Segmenter

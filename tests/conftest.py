@@ -8,14 +8,12 @@ from ddkseg.models import ModelConfig
 TINY_LSTM = ModelConfig(
     architecture="lstm", conv_channels=(3, 4), conv_kernels=(8, 5),
     conv_strides=(4, 4), conv_paddings=(2, 2), conv_dilations=(1, 1),
-    lstm_hidden=5, lstm_layers=2, fc_hidden=6, dropout_p=0.0,
-    allow_custom_shapes=True)
+    lstm_hidden=5, lstm_layers=2, fc_hidden=6, dropout_p=0.0)
 
 TINY_CNN = ModelConfig(
     architecture="cnn", conv_channels=(3, 4), conv_kernels=(8, 5),
     conv_strides=(4, 4), conv_paddings=(2, 3), conv_dilations=(1, 2),
-    lstm_hidden=0, lstm_layers=0, fc_hidden=6, dropout_p=0.0,
-    allow_custom_shapes=True)
+    lstm_hidden=0, lstm_layers=0, fc_hidden=6, dropout_p=0.0)
 
 # Small but structurally valid (5 conv / 2 LSTM / 2 FC) variant for
 # fast training tests.

@@ -5,7 +5,7 @@ import pytest
 
 from ddkseg.audio import (MODEL_RATE_HZ, Waveform, WindowPlan, cut_windows, read_wav, resample,
                           stitch_predictions, write_wav)
-from ddkseg.errors import InternalError, MalformedRiffError, UnsupportedEncodingError
+from ddkseg.errors import DataError, InternalError
 
 
 def make_wav_bytes(frames: bytes, channels=1, sample_rate=44100, bits=16, audio_format=1) -> bytes:
@@ -36,14 +36,14 @@ def test_read_wav_stereo_average(tmp_path):
 def test_read_wav_rejects_8bit(tmp_path):
     path = tmp_path / "e.wav"
     path.write_bytes(make_wav_bytes(b"\x00\x01\x02", bits=8))
-    with pytest.raises(UnsupportedEncodingError):
+    with pytest.raises(DataError, match=r"only 16-bit integer PCM is supported \(format=1, bits=8\)"):
         read_wav(path)
 
 
 def test_read_wav_rejects_float_pcm(tmp_path):
     path = tmp_path / "f.wav"
     path.write_bytes(make_wav_bytes(b"\x00" * 8, audio_format=3, bits=16))
-    with pytest.raises(UnsupportedEncodingError):
+    with pytest.raises(DataError, match=r"only 16-bit integer PCM is supported \(format=3, bits=16\)"):
         read_wav(path)
 
 
@@ -55,7 +55,7 @@ def test_read_wav_missing_file(tmp_path):
 def test_read_wav_malformed(tmp_path):
     path = tmp_path / "bad.wav"
     path.write_bytes(b"not a riff file at all")
-    with pytest.raises(MalformedRiffError):
+    with pytest.raises(DataError, match="not a RIFF/WAVE file"):
         read_wav(path)
 
 
@@ -63,7 +63,7 @@ def test_read_wav_truncated_data(tmp_path):
     good = make_wav_bytes(np.zeros(100, dtype="<i2").tobytes())
     path = tmp_path / "trunc.wav"
     path.write_bytes(good[:-50])
-    with pytest.raises(MalformedRiffError):
+    with pytest.raises(DataError, match="data chunk truncated"):
         read_wav(path)
 
 

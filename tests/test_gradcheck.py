@@ -6,6 +6,7 @@ projections of the output (for bare stacks) or the softmax cross-entropy
 """
 
 import numpy as np
+from gradcheck import grad_check
 
 from ddkseg import nn
 
@@ -24,7 +25,7 @@ def test_linear_gradients(rng):
     lin = nn.Sequential([nn.Linear(5, 4, rng=rng, dtype=np.float64)])
     x = rng.standard_normal((6, 5))
     proj = rng.standard_normal((6, 4))
-    err = nn.grad_check(projection_loss(lin, x, proj), lin.named_params())
+    err = grad_check(projection_loss(lin, x, proj), lin.named_params())
     assert err < 1e-6
 
 
@@ -36,7 +37,7 @@ def test_conv_bn_leaky_stack_gradients(rng):
     ])
     x = rng.standard_normal((2, 2, 12))
     proj = rng.standard_normal((2, 3, 6))
-    err = nn.grad_check(projection_loss(stack, x, proj), stack.named_params())
+    err = grad_check(projection_loss(stack, x, proj), stack.named_params())
     assert err < 1e-5
 
 
@@ -55,7 +56,7 @@ def test_conv_bn_train_mode_gradients(rng):
     # mean, so its true gradient is exactly zero and the check would only
     # compare differencing noise against the 1e-8 floor.
     params = {k: v for k, v in stack.named_params().items() if k != "0.bias"}
-    err = nn.grad_check(projection_loss(stack, x, proj, train=True), params)
+    err = grad_check(projection_loss(stack, x, proj, train=True), params)
     assert err < 1e-5
 
 
@@ -66,7 +67,7 @@ def test_dilated_strided_conv_gradients(rng):
     x = rng.standard_normal((2, 2, 11))
     out = stack.forward(x)
     proj = rng.standard_normal(out.shape)
-    err = nn.grad_check(projection_loss(stack, x, proj), stack.named_params())
+    err = grad_check(projection_loss(stack, x, proj), stack.named_params())
     assert err < 1e-6
 
 
@@ -78,7 +79,7 @@ def test_bilstm_two_layer_gradients(rng):
     ])
     x = rng.standard_normal((2, 4, 2))
     proj = rng.standard_normal((2, 4, 6))
-    err = nn.grad_check(projection_loss(stack, x, proj), stack.named_params())
+    err = grad_check(projection_loss(stack, x, proj), stack.named_params())
     assert err < 1e-5
 
 
@@ -98,5 +99,5 @@ def test_classifier_head_gradients(rng):
         stack.backward(dlogits)
         return loss, stack.named_grads()
 
-    err = nn.grad_check(fn, stack.named_params())
+    err = grad_check(fn, stack.named_params())
     assert err < 1e-6

@@ -1,0 +1,112 @@
+"""Model configuration checks and the checkpoint format."""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from conftest import TINY_CNN, TINY_LSTM
+
+from ddkseg.errors import ConfigError, DataError
+from ddkseg.models import CHECKPOINT_VERSION, ModelConfig, Segmenter, load_checkpoint, save_checkpoint
+
+CHECKPOINTS = Path(__file__).resolve().parents[1] / "bench" / "checkpoints"
+
+
+@pytest.mark.parametrize("name, cfg", [("lstm", ModelConfig.lstm_default()), ("cnn", ModelConfig.cnn_default())])
+def test_committed_checkpoints_load(name, cfg):
+    # Written before frame_rate_ms and allow_custom_shapes were removed.
+    model, meta = load_checkpoint(CHECKPOINTS / f"{name}.npz")
+    assert model.cfg == cfg
+    assert meta["arch"] == name
+
+
+def _randomized(cfg, seed):
+    model = Segmenter(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    for v in model.checkpoint_arrays().values():
+        v[...] = rng.standard_normal(v.shape).astype(v.dtype)
+    return model
+
+
+@pytest.mark.parametrize("cfg", [TINY_LSTM, TINY_CNN])
+def test_checkpoint_roundtrip_bit_exact(tmp_path, cfg):
+    model = _randomized(cfg, seed=3)
+    save_checkpoint(tmp_path / "m.npz", model, meta={"best_epoch": 4})
+    loaded, meta = load_checkpoint(tmp_path / "m.npz")
+    assert loaded.cfg == cfg
+    assert meta == {"best_epoch": 4}
+    want, got = model.checkpoint_arrays(), loaded.checkpoint_arrays()
+    assert list(got) == list(want)
+    assert any(k.startswith("state/") for k in want)
+    for k in want:
+        assert got[k].dtype == want[k].dtype
+        np.testing.assert_array_equal(got[k], want[k])
+
+
+def _rewrite(path, header_edit=None, array_edit=None):
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    header = json.loads(bytes(arrays.pop("__header__")).decode())
+    if header_edit:
+        header_edit(header)
+    if array_edit:
+        array_edit(arrays)
+    np.savez(path, __header__=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)
+
+
+def _bump_version(h):
+    h["format_version"] = CHECKPOINT_VERSION + 1
+
+
+def _unknown_key(h):
+    h["config"]["frame_rate_hz"] = 1000
+
+
+def _wrong_shape(arrays):
+    key = next(k for k in arrays if k.startswith("param/"))
+    arrays[key] = np.zeros(arrays[key].shape + (1,), dtype=arrays[key].dtype)
+
+
+@pytest.mark.parametrize("header_edit, array_edit, message", [
+    (_bump_version, None, "unsupported checkpoint version 2"),
+    (_unknown_key, None, r"unknown model config keys: \['frame_rate_hz'\]"),
+    (None, _wrong_shape, "shape mismatch for param/"),
+    (None, lambda a: a.pop("state/conv.1.running_mean"), "checkpoint keys do not match architecture"),
+])
+def test_bad_checkpoint_is_data_error(tmp_path, header_edit, array_edit, message):
+    path = tmp_path / "m.npz"
+    save_checkpoint(path, Segmenter(TINY_LSTM, seed=0))
+    _rewrite(path, header_edit, array_edit)
+    with pytest.raises(DataError, match=message):
+        load_checkpoint(path)
+
+
+def test_snapshot_restore():
+    model = _randomized(TINY_LSTM, seed=1)
+    snap = model.snapshot()
+    for v in model.checkpoint_arrays().values():
+        v += 1
+    model.restore(snap)
+    for k, v in model.checkpoint_arrays().items():
+        np.testing.assert_array_equal(v, snap[k])
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"architecture": "cnn"}, "cnn architecture has no LSTM layers"),
+    ({"lstm_layers": 0}, "lstm architecture needs lstm_layers >= 1"),
+    ({"lstm_hidden": 0}, "lstm_hidden >= 1"),
+    ({"architecture": "gru"}, "unknown architecture"),
+    ({"conv_strides": (4, 2, 2, 1, 2)}, "conv stride product must be 16"),
+    ({"conv_kernels": (16, 5, 5, 3)}, "conv_kernels must have 5 entries"),
+])
+def test_validate_rejects(changes, message):
+    cfg = ModelConfig.from_dict({**ModelConfig.lstm_default().to_dict(), **changes})
+    with pytest.raises(ConfigError, match=message):
+        cfg.validate()
+
+
+def test_validate_accepts_other_layer_counts():
+    ModelConfig(conv_channels=(8, 8, 8), conv_kernels=(8, 5, 5), conv_strides=(4, 2, 2),
+                conv_paddings=(2, 2, 2), conv_dilations=(1, 1, 1), lstm_layers=1).validate()
+    TINY_CNN.validate()
