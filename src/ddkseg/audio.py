@@ -98,12 +98,16 @@ def read_wav(path) -> Waveform:
 
     if fmt is None or payload is None:
         raise DataError(f"{path}: missing fmt or data chunk")
-    audio_format, channels, sample_rate, _byte_rate, _block_align, bits = fmt
+    audio_format, channels, sample_rate, _byte_rate, block_align, bits = fmt
     if audio_format != 1 or bits != 16:
         raise DataError(
             f"{path}: only 16-bit integer PCM is supported (format={audio_format}, bits={bits})")
     if channels not in (1, 2):
         raise DataError(f"{path}: expected 1 or 2 channels, got {channels}")
+    if sample_rate == 0:
+        raise DataError(f"{path}: sample rate is 0 Hz")
+    if block_align != 2 * channels:
+        raise DataError(f"{path}: block align {block_align} does not match {channels} channel(s) of 16 bits")
 
     raw = np.frombuffer(payload[:len(payload) - len(payload) % (2 * channels)], dtype="<i2")
     if channels == 2:

@@ -29,12 +29,14 @@ class AugmentSpec:
 def mix_noise(signal: Waveform, noise: Waveform, snr_db: float) -> Waveform:
     """Add noise scaled so 20*log10(rms_signal / rms_noise) equals snr_db.
 
-    Noise shorter than the signal is tiled; longer noise is cropped. A
-    silent signal is returned unchanged (with a warning) since no SNR can
-    be defined for it.
+    Noise shorter than the signal is tiled; longer noise is cropped; empty
+    noise raises ValueError. A silent signal is returned unchanged (with a
+    warning) since no SNR can be defined for it.
     """
     if noise.sample_rate_hz != signal.sample_rate_hz:
         raise ValueError("signal and noise sample rates differ")
+    if len(noise) == 0:
+        raise ValueError("mix_noise: noise is empty")
     sig = signal.samples
     rms_signal = float(np.sqrt(np.mean(sig * sig))) if sig.size else 0.0
     if rms_signal == 0.0:

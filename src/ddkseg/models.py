@@ -18,10 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .audio import MODEL_RATE_HZ, SAMPLES_PER_MS, Waveform, cut_windows, resample, stitch_predictions
+from .audio import MODEL_RATE_HZ, SAMPLES_PER_MS, Waveform, WindowPlan, cut_windows, resample, stitch_predictions
 from .errors import ConfigError, DataError, InternalError
 
 CHECKPOINT_VERSION = 1
+# Full-length windows of one file that predict_file runs through one forward
+# of an LSTM model: the recurrence's per-step cost is paid once per stack.
+WINDOWS_PER_FORWARD = 4
 # Fields of version-1 checkpoints that no longer exist; neither changed the model.
 _RETIRED_CONFIG_KEYS = ("frame_rate_ms", "allow_custom_shapes")
 
@@ -179,17 +182,21 @@ class Segmenter:
         return n_samples // SAMPLES_PER_MS
 
     def forward(self, x: np.ndarray, train: bool = False,
-                rng: np.random.Generator | None = None) -> np.ndarray:
-        """(batch, 1, samples) -> logits (batch, frames, n_classes)."""
+                rng: np.random.Generator | None = None, *, cache: bool = True) -> np.ndarray:
+        """(batch, 1, samples) -> logits (batch, frames, n_classes).
+
+        cache=False is the inference path: no layer keeps anything for
+        backward() (see ddkseg.nn.layers), and x is left unchanged.
+        """
         x = np.ascontiguousarray(x, dtype=self.dtype)
         frames = self.frame_count(x.shape[2])
-        z = self.conv.forward(x, train=train, rng=rng)
+        z = self.conv.forward(x, train=train, rng=rng, cache=cache)
         if z.shape[2] < frames:
             raise InternalError(f"conv stack produced {z.shape[2]} frames, expected >= {frames}")
         self._frames = frames
         self._conv_frames = z.shape[2]
         z = np.ascontiguousarray(z[:, :, :frames].transpose(0, 2, 1))
-        return self.head.forward(z, train=train, rng=rng)
+        return self.head.forward(z, train=train, rng=rng, cache=cache)
 
     def backward(self, dlogits: np.ndarray) -> None:
         dz = self.head.backward(dlogits)
@@ -233,14 +240,27 @@ def predict_window(model: Segmenter, window: Waveform) -> FramePrediction:
     padded = len(samples) < rf
     if padded:
         samples = np.concatenate([samples, np.zeros(rf - len(samples))])
-    logits = model.forward(samples[None, None, :], train=False)[0]
-    probs = nn.softmax_probs(logits.astype(np.float64))[:frames]
-    labels = np.argmax(probs, axis=1).astype(np.int8)
-    return FramePrediction(labels, probs.astype(np.float32), padded=padded)
+    probs = _window_probs(model, samples[None, None, :])[0, :frames]
+    return FramePrediction(np.argmax(probs, axis=1).astype(np.int8), probs, padded=padded)
+
+
+def _window_probs(model: Segmenter, x: np.ndarray) -> np.ndarray:
+    """float32 class probabilities (n, frames, classes) of n stacked windows (n, 1, samples)."""
+    logits = model.forward(x, train=False, cache=False)
+    return nn.softmax_probs(logits.astype(np.float64)).astype(np.float32)
 
 
 def predict_file(model: Segmenter, wave: Waveform) -> FramePrediction:
     """Resample, window, classify, and stitch a whole recording.
+
+    The full-length (1 s) windows of an LSTM model go through the network
+    WINDOWS_PER_FORWARD at a time, stacked in one batch, so each step of
+    the recurrence serves them all. A CNN model takes them one per forward:
+    it has no recurrence to amortise and measured slower stacked. The short
+    tail window, if any, always goes alone through predict_window, so it is
+    never stacked with (and zero-padded to) full windows; the backward LSTM
+    direction would read that padding. Stacking changes the probabilities
+    by float32 rounding only. All forwards here keep no backward caches.
 
     The windows' probabilities are stitched and each frame's label is their
     argmax. Output length equals the model-rate waveform's duration_ms; when
@@ -259,9 +279,20 @@ def predict_file(model: Segmenter, wave: Waveform) -> FramePrediction:
         probs = np.full((duration_ms, model.cfg.n_classes), 1.0 / model.cfg.n_classes, dtype=np.float32)
         return FramePrediction(labels, probs, padded=duration_ms > 0)
 
+    windows = cut_windows(wave16)
+    # Only the last window can be short. Full ones need no padding unless
+    # the receptive field is longer than a window.
+    full_samples = WindowPlan().window_ms * SAMPLES_PER_MS
+    rf = model.cfg.receptive_field_samples()
+    n_full = sum(len(w) == full_samples and len(w) >= rf for _, w in windows)
+    per_forward = WINDOWS_PER_FORWARD if model.cfg.lstm_layers > 0 else 1
     preds = []
+    for lo in range(0, n_full, per_forward):
+        group = windows[lo:min(lo + per_forward, n_full)]
+        probs = _window_probs(model, np.stack([w.samples for _, w in group])[:, None, :])
+        preds += zip((start_ms for start_ms, _ in group), probs)
     any_padded = False
-    for start_ms, window in cut_windows(wave16):
+    for start_ms, window in windows[n_full:]:
         pred = predict_window(model, window)
         any_padded = any_padded or pred.padded
         preds.append((start_ms, pred.probs))

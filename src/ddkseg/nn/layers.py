@@ -4,6 +4,15 @@ Every layer keeps its trainable arrays in self.params (name -> ndarray) and
 fills self.grads with matching shapes during backward(). Convolution runs
 as a tap-sliced im2col followed by one batched GEMM, which is where nearly
 all training time goes.
+
+Cache contract: forward(x, cache=True) keeps what backward() needs (conv
+columns, batchnorm's normalized input, the leaky ReLU mask, the linear
+input, the LSTM states), so backward() must follow the forward it belongs
+to. forward(x, cache=False) is the inference path: the layer keeps nothing
+for backward (and drops any cache an earlier forward left), and it may
+write its output into x's memory, so the caller must not need x again.
+In eval mode it also takes cheaper kernels: batchnorm applies one
+per-channel scale and shift, and leaky ReLU is one maximum.
 """
 
 from __future__ import annotations
@@ -20,7 +29,8 @@ class Layer:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
 
-    def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None, *,
+                cache: bool = True) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -56,7 +66,7 @@ class Conv1d(Layer):
         }
         self._cache = None
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, *, cache=True):
         batch, channels, length = x.shape
         if channels != self.in_channels:
             raise ValueError(f"conv1d expects {self.in_channels} input channels, got {channels}")
@@ -74,7 +84,7 @@ class Conv1d(Layer):
         w2 = self.params["weight"].reshape(self.out_channels, -1)
         out = np.matmul(w2, cols2)
         out += self.params["bias"][None, :, None]
-        self._cache = (cols2, xp.shape, length)
+        self._cache = (cols2, xp.shape, length) if cache else None
         return out
 
     def backward(self, dout):
@@ -114,9 +124,15 @@ class BatchNorm1d(Layer):
     def extra_state(self):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, *, cache=True):
         if x.shape[1] != self.channels:
             raise ValueError(f"batchnorm expects {self.channels} channels, got {x.shape[1]}")
+        if not (train or cache):
+            scale = self.params["gamma"] / np.sqrt(self.running_var + self.eps)
+            x *= scale[:, None]
+            x += (self.params["beta"] - self.running_mean * scale)[:, None]
+            self._cache = None
+            return x
         gamma = self.params["gamma"][None, :, None]
         beta = self.params["beta"][None, :, None]
         if train:
@@ -128,11 +144,11 @@ class BatchNorm1d(Layer):
             unbiased = var * (n / (n - 1)) if n > 1 else var
             self.running_mean += self.momentum * (mean - self.running_mean)
             self.running_var += self.momentum * (unbiased - self.running_var)
-            self._cache = ("train", xhat, inv_std)
+            self._cache = ("train", xhat, inv_std) if cache else None
         else:
             inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
             xhat = (x - self.running_mean[None, :, None]) * inv_std[None, :, None]
-            self._cache = ("eval", xhat, inv_std)
+            self._cache = ("eval", xhat, inv_std) if cache else None
         return gamma * xhat + beta
 
     def backward(self, dout):
@@ -155,7 +171,10 @@ class LeakyReLU(Layer):
         self.slope = slope
         self._neg = None
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, *, cache=True):
+        if not cache:
+            self._neg = None
+            return np.maximum(x, x * x.dtype.type(self.slope), out=x)
         neg = x < 0
         self._neg = neg
         return np.where(neg, x * x.dtype.type(self.slope), x)
@@ -174,15 +193,16 @@ class Dropout(Layer):
         self.p = p
         self._mask = None
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, *, cache=True):
         if not train or self.p == 0.0:
             self._mask = None
             return x
         if rng is None:
             raise ValueError("dropout in train mode needs an rng")
         keep = rng.random(x.shape, dtype=np.float32) >= self.p
-        self._mask = keep.astype(x.dtype) / (1.0 - self.p)
-        return x * self._mask
+        mask = keep.astype(x.dtype) / (1.0 - self.p)
+        self._mask = mask if cache else None
+        return x * mask
 
     def backward(self, dout):
         if self._mask is None:
@@ -205,12 +225,12 @@ class Linear(Layer):
         }
         self._cache = None
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, *, cache=True):
         if x.shape[-1] != self.in_features:
             raise ValueError(f"linear expects {self.in_features} features, got {x.shape[-1]}")
         x2 = x.reshape(-1, self.in_features)
         out = x2 @ self.params["weight"].T + self.params["bias"]
-        self._cache = (x2, x.shape)
+        self._cache = (x2, x.shape) if cache else None
         return out.reshape(x.shape[:-1] + (self.out_features,))
 
     def backward(self, dout):
@@ -228,9 +248,9 @@ class Sequential(Layer):
         super().__init__()
         self.layers = layers
 
-    def forward(self, x, train=False, rng=None):
+    def forward(self, x, train=False, rng=None, *, cache=True):
         for layer in self.layers:
-            x = layer.forward(x, train=train, rng=rng)
+            x = layer.forward(x, train=train, rng=rng, cache=cache)
         return x
 
     def backward(self, dout):

@@ -124,7 +124,7 @@ def _evaluate(model: Segmenter, x: np.ndarray, y: np.ndarray, batch_size: int,
     total_loss, total_frames, correct = 0.0, 0, 0
     for lo in range(0, len(x), batch_size):
         xb, yb = x[lo:lo + batch_size], y[lo:lo + batch_size]
-        logits = model.forward(xb, train=False)
+        logits = model.forward(xb, train=False, cache=False)
         loss, _ = nn.softmax_cross_entropy(logits, yb, weights)
         n = yb.size
         total_loss += loss * n

@@ -207,3 +207,19 @@ def test_cut_then_stitch_recovers_frame_count(rng):
     out = stitch_predictions(labeled, 3457)
     assert len(out) == 3457
     assert (out == 1).all()
+
+
+# In make_wav_bytes' header the fmt sample rate (uint32) sits at byte 24
+# and the block align (uint16) at byte 32.
+@pytest.mark.parametrize("field, offset, value, message", [
+    ("<I", 24, 0, "sample rate is 0 Hz"),
+    ("<H", 32, 4, "block align 4 does not match 1 channel"),
+    ("<H", 32, 1, "block align 1 does not match 1 channel"),
+])
+def test_read_wav_rejects_inconsistent_fmt(tmp_path, field, offset, value, message):
+    data = bytearray(make_wav_bytes(np.zeros(10, dtype="<i2").tobytes(), sample_rate=16000))
+    struct.pack_into(field, data, offset, value)
+    path = tmp_path / "x.wav"
+    path.write_bytes(bytes(data))
+    with pytest.raises(DataError, match=message):
+        read_wav(path)

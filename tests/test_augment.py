@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
 from ddkseg.audio import Waveform
-from ddkseg.augment import AugmentSpec, augment_wave
+from ddkseg.augment import AugmentSpec, augment_wave, mix_noise
 
 
 def test_augment_mixes_at_non_integer_snr():
@@ -13,3 +14,9 @@ def test_augment_mixes_at_non_integer_snr():
     noise = mixed.samples - clean.samples
     snr_db = 20.0 * np.log10(np.sqrt(np.mean(clean.samples ** 2)) / np.sqrt(np.mean(noise ** 2)))
     assert abs(snr_db - 7.5) < 1e-9
+
+
+def test_mix_noise_rejects_empty_noise():
+    signal = Waveform(0.1 * np.ones(100), 16000)
+    with pytest.raises(ValueError, match="noise is empty"):
+        mix_noise(signal, Waveform(np.zeros(0), 16000), 10.0)

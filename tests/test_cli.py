@@ -86,3 +86,21 @@ def test_segment_all_readable_exits_0(tmp_path, tiny_checkpoint):
     code = cli.main(["segment", str(wav), "--checkpoint", str(tiny_checkpoint), "--out-dir", str(tmp_path)])
     assert code == cli.EXIT_OK
     assert (tmp_path / "a.csv").is_file()
+
+
+def test_segment_zero_rate_input_exits_2(tmp_path, capsys, tiny_checkpoint):
+    wavs = tmp_path / "wavs"
+    wavs.mkdir()
+    for name in ("a", "b_0hz", "c"):
+        write_wav(wavs / f"{name}.wav", Waveform(np.zeros(4000), 16000))
+    data = bytearray((wavs / "b_0hz.wav").read_bytes())
+    data[24:28] = (0).to_bytes(4, "little")  # fmt sample rate
+    (wavs / "b_0hz.wav").write_bytes(bytes(data))
+    out = tmp_path / "out"
+
+    code = cli.main(["segment", *(str(wavs / f"{n}.wav") for n in ("a", "b_0hz", "c")),
+                     "--checkpoint", str(tiny_checkpoint), "--out-dir", str(out)])
+
+    assert code == cli.EXIT_DATA
+    assert sorted(p.name for p in out.iterdir()) == ["a.csv", "c.csv"]
+    assert "b_0hz.wav: sample rate is 0 Hz" in capsys.readouterr().err

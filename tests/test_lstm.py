@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from ddkseg import nn
+from ddkseg.nn.lstm import PROJ_BLOCK
 
 
 def lstm_oracle_direction(x, w_ih, w_hh, bias, hid):
@@ -81,3 +83,22 @@ def test_forward_deterministic(rng):
     lstm = nn.BiLSTM(4, 6, rng=rng, dtype=np.float32)
     x = rng.standard_normal((3, 20, 4)).astype(np.float32)
     np.testing.assert_array_equal(lstm.forward(x), lstm.forward(x))
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("t_len", [0, 1, 7])
+def test_cache_free_path_matches_cached_path(rng, batch, t_len):
+    lstm = nn.BiLSTM(3, 4, rng=rng, dtype=np.float64)
+    x = rng.standard_normal((batch, t_len, 3))
+    cached = lstm.forward(x)
+    fused = lstm.forward(x, cache=False)
+    assert fused.shape == cached.shape == (batch, t_len, 8)
+    np.testing.assert_allclose(fused, cached, rtol=0, atol=1e-12)
+    assert lstm._cache is None
+
+
+def test_cache_free_path_across_projection_blocks(rng):
+    # Crosses two block boundaries, where the state carries over.
+    lstm = nn.BiLSTM(3, 4, rng=rng, dtype=np.float64)
+    x = rng.standard_normal((2, 2 * PROJ_BLOCK + 3, 3))
+    np.testing.assert_allclose(lstm.forward(x, cache=False), lstm.forward(x), rtol=0, atol=1e-12)

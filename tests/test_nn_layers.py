@@ -206,3 +206,29 @@ def test_loss_nonnegative(rng):
         targets = rng.integers(0, 3, size=12)
         loss, _ = nn.softmax_cross_entropy(logits, targets)
         assert loss >= 0.0
+
+
+def _batchnorm_with_stats(rng):
+    bn = nn.BatchNorm1d(3, dtype=np.float64)
+    bn.params["gamma"][:] = rng.uniform(0.5, 2.0, 3)
+    bn.params["beta"][:] = rng.standard_normal(3)
+    bn.running_mean[:] = rng.standard_normal(3)
+    bn.running_var[:] = rng.uniform(0.1, 3.0, 3)
+    return bn
+
+
+@pytest.mark.parametrize("make, shape", [
+    (lambda rng: nn.Conv1d(2, 3, 5, stride=2, padding=2, rng=rng, dtype=np.float64), (2, 2, 11)),
+    (_batchnorm_with_stats, (2, 3, 9)),
+    (lambda rng: nn.LeakyReLU(0.01), (2, 3, 9)),
+    (lambda rng: nn.Dropout(0.3), (2, 3, 9)),
+    (lambda rng: nn.Linear(4, 3, rng=rng, dtype=np.float64), (2, 5, 4)),
+], ids=["conv", "batchnorm", "leaky_relu", "dropout", "linear"])
+def test_cache_free_eval_matches_cached_eval(rng, make, shape):
+    layer = make(rng)
+    x = rng.standard_normal(shape)
+    cached = layer.forward(x.copy(), train=False)
+    fresh = layer.forward(x.copy(), train=False, cache=False)  # may overwrite its input
+    np.testing.assert_allclose(fresh, cached, rtol=1e-13, atol=1e-14)
+    held = {k: v for k, v in vars(layer).items() if k.startswith("_") and v is not None}
+    assert not held, f"{type(layer).__name__} kept {sorted(held)} with cache=False"
