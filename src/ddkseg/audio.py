@@ -161,36 +161,49 @@ def cut_windows(wave: Waveform, plan: WindowPlan | None = None) -> list[tuple[in
     return out
 
 
+def frame_owners(windows: list[tuple[int, int]], total_ms: int) -> np.ndarray:
+    """The stitch rule: for each of total_ms frames, the index (into
+    windows) of the window it takes its row from, or -1 where none covers it.
+
+    Each entry is (start_ms, frames). Frame t (center t + 0.5) goes to the
+    containing window whose center is nearest; ties keep the window that
+    starts earlier, or at equal starts the one listed first.
+    """
+    owner = np.full(total_ms, -1)
+    best = np.full(total_ms, np.inf)
+    for i in sorted(range(len(windows)), key=lambda i: windows[i][0]):
+        start, n = windows[i]
+        hi = min(start + n, total_ms)
+        if hi <= start:
+            continue
+        dist = np.abs(np.arange(start, hi) + 0.5 - (start + n / 2.0))
+        upd = dist < best[start:hi]
+        owner[start:hi][upd] = i
+        best[start:hi][upd] = dist[upd]
+    return owner
+
+
 def stitch_predictions(windows: list[tuple[int, np.ndarray]], total_ms: int) -> np.ndarray:
     """Merge per-window 1 ms predictions into one sequence of total_ms frames.
 
     Each entry is (start_ms, per-frame array); arrays may be 1-D labels or
     2-D (frames, k) probabilities. In overlap regions each frame takes its
-    row from the window whose center is nearest. Raises InternalError on
-    any coverage gap.
+    row from the window frame_owners assigns it, the one whose center is
+    nearest. Raises InternalError on any coverage gap.
     """
     if total_ms == 0:
         first = windows[0][1] if windows else np.zeros(0, dtype=np.int8)
         return np.zeros((0,) + first.shape[1:], dtype=first.dtype)
     if not windows:
         raise InternalError("no windows to stitch")
-    windows = sorted(windows, key=lambda w: w[0])
-    tail_shape = windows[0][1].shape[1:]
-    out = np.zeros((total_ms,) + tail_shape, dtype=windows[0][1].dtype)
-    # Frame t (center t + 0.5) takes its row from the containing window
-    # whose center is nearest; ties keep the earlier window.
-    best = np.full(total_ms, np.inf)
-    for start, arr in windows:
-        hi = min(start + len(arr), total_ms)
-        if hi <= start:
-            continue
-        center = start + len(arr) / 2.0
-        frames = np.arange(start, hi)
-        dist = np.abs(frames + 0.5 - center)
-        upd = dist < best[frames]
-        sel = frames[upd]
-        out[sel] = arr[sel - start]
-        best[sel] = dist[upd]
-    if np.isinf(best).any():
-        raise InternalError(f"stitch left {int(np.sum(np.isinf(best)))} frames uncovered")
+    owner = frame_owners([(start, len(arr)) for start, arr in windows], total_ms)
+    uncovered = int(np.sum(owner < 0))
+    if uncovered:
+        raise InternalError(f"stitch left {uncovered} frames uncovered")
+    out = np.empty((total_ms,) + windows[0][1].shape[1:], dtype=windows[0][1].dtype)
+    for i, (start, arr) in enumerate(windows):
+        n = min(start + len(arr), total_ms) - start
+        if n > 0:
+            mine = owner[start:start + n] == i
+            out[start:start + n][mine] = arr[:n][mine]
     return out

@@ -8,9 +8,16 @@ from these primitives so the package has no DSP dependency beyond numpy.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+# Kaiser window shapes of the FIR designs (about 63 dB stop band) and of the
+# resampler's prototype (about 87 dB), and the resampler's taps per phase.
+FIR_BETA = 6.0
+RESAMPLE_BETA = 8.6
+TAPS_PER_PHASE = 64
 
 
-def lowpass_fir(num_taps: int, cutoff_hz: float, sample_rate_hz: float, beta: float = 6.0) -> np.ndarray:
+def lowpass_fir(num_taps: int, cutoff_hz: float, sample_rate_hz: float) -> np.ndarray:
     """Linear-phase lowpass prototype (window method, Kaiser window).
 
     num_taps should be odd so the filter has an integer group delay that
@@ -24,23 +31,21 @@ def lowpass_fir(num_taps: int, cutoff_hz: float, sample_rate_hz: float, beta: fl
     m = np.arange(num_taps, dtype=np.float64) - center
     fc = cutoff_hz / sample_rate_hz  # cycles per sample
     h = 2.0 * fc * np.sinc(2.0 * fc * m)
-    h *= np.kaiser(num_taps, beta)
+    h *= np.kaiser(num_taps, FIR_BETA)
     # Normalize DC gain to exactly 1.
     h /= h.sum()
     return h
 
 
-def bandstop_fir(num_taps: int, low_hz: float, high_hz: float, sample_rate_hz: float,
-                 beta: float = 6.0) -> np.ndarray:
+def bandstop_fir(num_taps: int, low_hz: float, high_hz: float, sample_rate_hz: float) -> np.ndarray:
     """Linear-phase band-reject filter: delta minus a windowed-sinc bandpass."""
     if num_taps % 2 == 0:
         raise ValueError("bandstop filters need an odd tap count")
     if not 0.0 < low_hz < high_hz < sample_rate_hz / 2.0:
         raise ValueError(f"invalid band ({low_hz}, {high_hz}) Hz at fs={sample_rate_hz}")
-    h_low = lowpass_fir(num_taps, low_hz, sample_rate_hz, beta)
-    h_high = lowpass_fir(num_taps, high_hz, sample_rate_hz, beta)
-    h = h_low - h_high  # bandpass between low and high
-    h *= -1.0
+    h_low = lowpass_fir(num_taps, low_hz, sample_rate_hz)
+    h_high = lowpass_fir(num_taps, high_hz, sample_rate_hz)
+    h = h_low - h_high  # minus the bandpass between low and high
     h[(num_taps - 1) // 2] += 1.0
     return h
 
@@ -58,13 +63,18 @@ def apply_fir(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.convolve(x, h, mode="same")
 
 
-def resample_kaiser(x: np.ndarray, source_hz: int, target_hz: int,
-                    taps_per_phase: int = 64, beta: float = 8.6) -> np.ndarray:
+def resample_kaiser(x: np.ndarray, source_hz: int, target_hz: int) -> np.ndarray:
     """Polyphase rational resampler with a Kaiser-windowed sinc prototype.
 
     The prototype lowpass cuts off at the smaller of the two Nyquist
     frequencies; group delay is compensated so y[n] is aligned with input
     position n * source / target. Output length is round(len(x) * target / source).
+
+    With up / down the reduced rate ratio, outputs n, n + up, n + 2 up, ...
+    share one phase of the filter and read input rows that start down
+    samples apart, so each phase is one matrix-vector product of a strided
+    view of the zero-padded input (TAPS_PER_PHASE + 1 samples a row) with
+    that phase's reversed taps. Nothing is gathered or copied per output.
     """
     if source_hz <= 0 or target_hz <= 0:
         raise ValueError("sample rates must be positive")
@@ -81,26 +91,27 @@ def resample_kaiser(x: np.ndarray, source_hz: int, target_hz: int,
 
     # Odd length makes the group delay an integer number of upsampled-grid
     # samples, so the output is exactly time aligned with the input.
-    n_taps = taps_per_phase * up + 1
+    row = TAPS_PER_PHASE + 1
+    n_taps = TAPS_PER_PHASE * up + 1
     center = (n_taps - 1) // 2
     # Cutoff at min(source, target)/2 expressed at the upsampled rate source*up.
     fc = 0.5 / max(up, down)
     m = np.arange(n_taps, dtype=np.float64) - center
-    h = 2.0 * fc * np.sinc(2.0 * fc * m) * np.kaiser(n_taps, beta)
+    h = np.zeros(row * up)
+    h[:n_taps] = 2.0 * fc * np.sinc(2.0 * fc * m) * np.kaiser(n_taps, RESAMPLE_BETA)
     h *= up  # compensate the zero insertion
+    # taps[p, j] = h[p + (row - 1 - j) * up]: phase p's taps, reversed so
+    # that they line up with input samples in increasing time.
+    taps = h.reshape(row, up).T[:, ::-1]
 
     # y[n] = sum_t h[p + t*up] * x[q - t] where p, q locate the (delay
-    # compensated) position n*down + center on the upsampled grid.
-    pos = np.arange(n_out, dtype=np.int64) * down + center
-    phase = pos % up
-    base = pos // up
-
-    pad = taps_per_phase + 1
-    xp = np.concatenate([np.zeros(pad), x, np.zeros(pad)])
+    # compensated) position n*down + center on the upsampled grid: the row
+    # of x ending at q, that is xp[q + 1 : q + 1 + row] with the padding.
+    xp = np.concatenate([np.zeros(row), x, np.zeros(row)])
+    rows = sliding_window_view(xp, row)
     y = np.empty(n_out, dtype=np.float64)
-    for p in np.unique(phase):
-        sel = np.flatnonzero(phase == p)
-        taps = h[p::up]
-        idx = base[sel][:, None] - np.arange(len(taps))[None, :] + pad
-        y[sel] = np.take(xp, np.clip(idx, 0, len(xp) - 1)) @ taps
+    for n in range(min(up, n_out)):
+        q, p = divmod(n * down + center, up)
+        out = y[n::up]
+        out[...] = rows[q + 1::down][:len(out)] @ taps[p]
     return y

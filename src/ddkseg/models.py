@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .audio import MODEL_RATE_HZ, SAMPLES_PER_MS, Waveform, WindowPlan, cut_windows, resample, stitch_predictions
+from .audio import (MODEL_RATE_HZ, SAMPLES_PER_MS, Waveform, WindowPlan, cut_windows, frame_owners, resample,
+                    stitch_predictions)
 from .errors import ConfigError, DataError, InternalError
 
 CHECKPOINT_VERSION = 1
@@ -182,21 +183,83 @@ class Segmenter:
         return n_samples // SAMPLES_PER_MS
 
     def forward(self, x: np.ndarray, train: bool = False,
-                rng: np.random.Generator | None = None, *, cache: bool = True) -> np.ndarray:
+                rng: np.random.Generator | None = None, *, cache: bool = True,
+                keep: tuple[int, int] | None = None) -> np.ndarray:
         """(batch, 1, samples) -> logits (batch, frames, n_classes).
 
         cache=False is the inference path: no layer keeps anything for
         backward() (see ddkseg.nn.layers), and x is left unchanged.
+
+        keep=(lo, hi) asks for the logits of frames [lo, hi) only, as
+        (batch, hi - lo, n_classes), on the inference path (train=False,
+        cache=False). A CNN model then computes the stride-1 top of its conv
+        stack, and its per-frame head, on just the frames those logits
+        read: equal to the full forward's [:, lo:hi] up to float rounding.
+        An LSTM model computes the whole window and slices the logits,
+        because its recurrence reads every frame.
         """
         x = np.ascontiguousarray(x, dtype=self.dtype)
         frames = self.frame_count(x.shape[2])
-        z = self.conv.forward(x, train=train, rng=rng, cache=cache)
-        if z.shape[2] < frames:
-            raise InternalError(f"conv stack produced {z.shape[2]} frames, expected >= {frames}")
-        self._frames = frames
-        self._conv_frames = z.shape[2]
-        z = np.ascontiguousarray(z[:, :, :frames].transpose(0, 2, 1))
-        return self.head.forward(z, train=train, rng=rng, cache=cache)
+        if keep is not None:
+            if not 0 <= keep[0] < keep[1] <= frames:
+                raise ValueError(f"keep span {keep} is empty or outside the window's {frames} frames")
+            if train or cache:
+                raise ValueError("keep is for inference: pass train=False and cache=False")
+        if keep is not None and not self.cfg.lstm_layers:
+            z = self._cropped_conv(x, *keep)
+        else:
+            z = self.conv.forward(x, train=train, rng=rng, cache=cache)
+            if z.shape[2] < frames:
+                raise InternalError(f"conv stack produced {z.shape[2]} frames, expected >= {frames}")
+            self._frames = frames
+            self._conv_frames = z.shape[2]
+            z = z[:, :, :frames]
+        z = np.ascontiguousarray(z.transpose(0, 2, 1))
+        logits = self.head.forward(z, train=train, rng=rng, cache=cache)
+        if keep is not None and self.cfg.lstm_layers:
+            return logits[:, keep[0]:keep[1]]
+        return logits
+
+    def _cropped_conv(self, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Eval-mode conv stack output for frames [lo, hi) only.
+
+        The strided bottom of the stack runs whole. Each conv of the
+        stride-1 top reads frames [j - padding, j - padding + dilation *
+        (kernel - 1)] of its input for output frame j, so the top's input
+        at conv i is cut to [lo - P, hi + R - P), with P the paddings and R
+        the reaches dilation * (kernel - 1) summed over convs i and above,
+        clipped to the frames that input has. A conv pads only where its
+        slice meets the real window edge: padding an inner side would only
+        compute frames that the next slice drops.
+        """
+        blocks = [self.conv.layers[i:i + 4] for i in range(0, len(self.conv.layers), 4)]
+        n_bottom = len(blocks)
+        while n_bottom and blocks[n_bottom - 1][0].stride == 1:
+            n_bottom -= 1
+        z = x
+        for block in blocks[:n_bottom]:
+            for layer in block:
+                z = layer.forward(z, cache=False)
+        top = blocks[n_bottom:]
+        pad = sum(conv.padding for conv, *_ in top)
+        reach = sum(conv.dilation * (conv.kernel - 1) for conv, *_ in top)
+        length = z.shape[2]  # frames of this depth's uncropped activation
+        offset = 0  # the frame z[:, :, 0] holds
+        for conv, *rest in top:
+            a = max(0, lo - pad)
+            b = min(length, hi + reach - pad)
+            left = conv.padding if a == 0 else 0
+            right = conv.padding if b == length else 0
+            z = conv.forward(z[:, :, a - offset:b - offset], cache=False, pad=(left, right))
+            for layer in rest:
+                z = layer.forward(z, cache=False)
+            offset = a + conv.padding - left
+            pad -= conv.padding
+            reach -= conv.dilation * (conv.kernel - 1)
+            length += 2 * conv.padding - conv.dilation * (conv.kernel - 1)
+        if length < hi:
+            raise InternalError(f"conv stack produced {length} frames, expected >= {hi}")
+        return z[:, :, lo - offset:hi - offset]
 
     def backward(self, dlogits: np.ndarray) -> None:
         dz = self.head.backward(dlogits)
@@ -244,28 +307,35 @@ def predict_window(model: Segmenter, window: Waveform) -> FramePrediction:
     return FramePrediction(np.argmax(probs, axis=1).astype(np.int8), probs, padded=padded)
 
 
-def _window_probs(model: Segmenter, x: np.ndarray) -> np.ndarray:
-    """float32 class probabilities (n, frames, classes) of n stacked windows (n, 1, samples)."""
-    logits = model.forward(x, train=False, cache=False)
+def _window_probs(model: Segmenter, x: np.ndarray, keep: tuple[int, int] | None = None) -> np.ndarray:
+    """float32 class probabilities (n, frames, classes) of n stacked windows
+    (n, 1, samples), of frames [keep[0], keep[1]) only when keep is given."""
+    logits = model.forward(x, train=False, cache=False, keep=keep)
     return nn.softmax_probs(logits.astype(np.float64)).astype(np.float32)
 
 
 def predict_file(model: Segmenter, wave: Waveform) -> FramePrediction:
     """Resample, window, classify, and stitch a whole recording.
 
-    The full-length (1 s) windows of an LSTM model go through the network
-    WINDOWS_PER_FORWARD at a time, stacked in one batch, so each step of
-    the recurrence serves them all. A CNN model takes them one per forward:
-    it has no recurrence to amortise and measured slower stacked. The short
-    tail window, if any, always goes alone through predict_window, so it is
-    never stacked with (and zero-padded to) full windows; the backward LSTM
-    direction would read that padding. Stacking changes the probabilities
-    by float32 rounding only. All forwards here keep no backward caches.
+    Stitching gives each frame to one window (audio.frame_owners), so each
+    window owns one contiguous span of frames (cut_windows' starts and ends
+    both increase), and only owned frames are kept. A CNN model runs each
+    full-length (1 s) window alone with keep= its owned span, so the
+    stride-1 top of its conv stack computes only what that span reads (see
+    Segmenter.forward). An LSTM model cannot crop, as its recurrence reads
+    every frame: its full windows go through the network WINDOWS_PER_FORWARD
+    at a time, stacked in one batch so each step of the recurrence serves
+    them all, and each window's span is sliced from its output. A CNN has
+    no recurrence to amortise and measured slower stacked. The short tail
+    window, if any, goes whole and alone through predict_window, so it is
+    never zero-padded to a full window; the backward LSTM direction would
+    read that padding. Stacking changes the probabilities by float32
+    rounding only. All forwards here keep no backward caches.
 
-    The windows' probabilities are stitched and each frame's label is their
-    argmax. Output length equals the model-rate waveform's duration_ms; when
-    rounding puts duration_ms one past the last full frame, the final frame
-    repeats the last prediction.
+    The owned spans' probabilities are stitched and each frame's label is
+    their argmax. Output length equals the model-rate waveform's
+    duration_ms; when rounding puts duration_ms one past the last full
+    frame, the final frame repeats the last prediction.
     """
     wave16 = resample(wave, MODEL_RATE_HZ)
     if len(wave16) == 0:
@@ -280,23 +350,30 @@ def predict_file(model: Segmenter, wave: Waveform) -> FramePrediction:
         return FramePrediction(labels, probs, padded=duration_ms > 0)
 
     windows = cut_windows(wave16)
+    owner = frame_owners([(start, len(w) // SAMPLES_PER_MS) for start, w in windows], covered_ms)
+    # Owners never decrease along the file, so window i owns [edges[i], edges[i + 1]).
+    edges = np.searchsorted(owner, np.arange(len(windows) + 1)).tolist()
+    spans = [(edges[i] - start, edges[i + 1] - start) for i, (start, _) in enumerate(windows)]
     # Only the last window can be short. Full ones need no padding unless
     # the receptive field is longer than a window.
     full_samples = WindowPlan().window_ms * SAMPLES_PER_MS
     rf = model.cfg.receptive_field_samples()
     n_full = sum(len(w) == full_samples and len(w) >= rf for _, w in windows)
-    per_forward = WINDOWS_PER_FORWARD if model.cfg.lstm_layers > 0 else 1
-    preds = []
-    for lo in range(0, n_full, per_forward):
-        group = windows[lo:min(lo + per_forward, n_full)]
-        probs = _window_probs(model, np.stack([w.samples for _, w in group])[:, None, :])
-        preds += zip((start_ms for start_ms, _ in group), probs)
+    pieces = []  # (window index, probabilities of the frames it owns)
+    if model.cfg.lstm_layers:
+        for lo in range(0, n_full, WINDOWS_PER_FORWARD):
+            group = range(lo, min(lo + WINDOWS_PER_FORWARD, n_full))
+            probs = _window_probs(model, np.stack([windows[i][1].samples for i in group])[:, None, :])
+            pieces += [(i, p[slice(*spans[i])]) for i, p in zip(group, probs)]
+    else:
+        pieces += [(i, _window_probs(model, windows[i][1].samples[None, None, :], keep=spans[i])[0])
+                   for i in range(n_full)]
     any_padded = False
-    for start_ms, window in windows[n_full:]:
-        pred = predict_window(model, window)
+    for i in range(n_full, len(windows)):
+        pred = predict_window(model, windows[i][1])
         any_padded = any_padded or pred.padded
-        preds.append((start_ms, pred.probs))
-    probs = stitch_predictions(preds, covered_ms)
+        pieces.append((i, pred.probs[slice(*spans[i])]))
+    probs = stitch_predictions([(edges[i], p) for i, p in pieces], covered_ms)
     if duration_ms > covered_ms:
         probs = np.concatenate([probs, np.repeat(probs[-1:], duration_ms - covered_ms, axis=0)])
     return FramePrediction(np.argmax(probs, axis=1).astype(np.int8), probs, padded=any_padded)

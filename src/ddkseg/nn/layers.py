@@ -66,15 +66,24 @@ class Conv1d(Layer):
         }
         self._cache = None
 
-    def forward(self, x, train=False, rng=None, *, cache=True):
+    def forward(self, x, train=False, rng=None, *, cache=True, pad=None):
+        """pad=(left, right) replaces the layer's own zero padding for this
+        call, so a caller that hands in a slice of a longer input can pad
+        only the sides where that slice meets the real edge."""
         batch, channels, length = x.shape
         if channels != self.in_channels:
             raise ValueError(f"conv1d expects {self.in_channels} input channels, got {channels}")
-        out_len = conv_output_length(length, self.kernel, self.stride, self.padding, self.dilation)
+        left, right = (self.padding, self.padding) if pad is None else pad
+        out_len = conv_output_length(length + left + right, self.kernel, self.stride, 0, self.dilation)
         if out_len <= 0:
             raise ValueError(f"conv1d input length {length} too short for kernel "
-                             f"{self.kernel} (dilation {self.dilation}, padding {self.padding})")
-        xp = np.pad(x, ((0, 0), (0, 0), (self.padding, self.padding))) if self.padding else x
+                             f"{self.kernel} (dilation {self.dilation}, padding {left}, {right})")
+        xp = x
+        if left or right:
+            xp = np.empty((batch, channels, left + length + right), dtype=x.dtype)
+            xp[:, :, :left] = 0
+            xp[:, :, left:left + length] = x
+            xp[:, :, left + length:] = 0
         span = (out_len - 1) * self.stride + 1
         cols = np.empty((batch, self.in_channels, self.kernel, out_len), dtype=x.dtype)
         for tap in range(self.kernel):
@@ -84,11 +93,11 @@ class Conv1d(Layer):
         w2 = self.params["weight"].reshape(self.out_channels, -1)
         out = np.matmul(w2, cols2)
         out += self.params["bias"][None, :, None]
-        self._cache = (cols2, xp.shape, length) if cache else None
+        self._cache = (cols2, xp.shape, left, length) if cache else None
         return out
 
     def backward(self, dout):
-        cols2, xp_shape, length = self._cache
+        cols2, xp_shape, left, length = self._cache
         batch, _, out_len = dout.shape
         w2 = self.params["weight"].reshape(self.out_channels, -1)
 
@@ -102,9 +111,7 @@ class Conv1d(Layer):
         for tap in range(self.kernel):
             lo = tap * self.dilation
             dxp[:, :, lo:lo + span:self.stride] += dcols[:, :, tap, :]
-        if self.padding:
-            return dxp[:, :, self.padding:self.padding + length]
-        return dxp
+        return dxp[:, :, left:left + length]
 
 
 class BatchNorm1d(Layer):

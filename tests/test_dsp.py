@@ -1,0 +1,38 @@
+"""The strided polyphase resampler against its gather-based reference, and
+the band-reject filter's stop and pass bands."""
+
+import numpy as np
+import pytest
+from resample_reference import resample_kaiser_reference
+
+from ddkseg.audio import Waveform
+from ddkseg.augment import NOTCH_TAPS, band_reject
+from ddkseg.dsp import resample_kaiser
+
+
+@pytest.mark.parametrize("source, target", [(8000, 16000), (11025, 16000), (22050, 16000),
+                                            (44100, 16000), (48000, 16000), (16000, 44100)])
+@pytest.mark.parametrize("n", [0, 1, 2, 37, 1000, "long"])
+def test_resample_matches_gather_reference(source, target, n):
+    if n == "long":
+        n = 3 * source + 17  # an odd length of a little over three seconds
+    x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+    y = resample_kaiser(x, source, target)
+    assert len(y) == round(n * target / source)
+    np.testing.assert_allclose(y, resample_kaiser_reference(x, source, target), rtol=0, atol=1e-12)
+
+
+def _gain_db(freq_hz, low_hz, high_hz, rate=16000):
+    t = np.arange(2 * rate) / rate
+    x = 0.5 * np.sin(2 * np.pi * freq_hz * t)
+    y = band_reject(Waveform(x, rate), low_hz, high_hz).samples
+    inner = slice(NOTCH_TAPS, -NOTCH_TAPS)  # away from the zero-padded edges
+    return 20 * np.log10(np.sqrt(np.mean(y[inner] ** 2)) / np.sqrt(np.mean(x[inner] ** 2)))
+
+
+@pytest.mark.parametrize("low, high", [(200.0, 1000.0), (500.0, 2000.0), (1000.0, 3000.0)])
+def test_band_reject_removes_its_band_and_passes_the_rest(low, high):
+    for freq in (low + 150.0, (low + high) / 2, high - 150.0):
+        assert _gain_db(freq, low, high) < -60.0, freq
+    for freq in (low / 4, high + 400.0, 6000.0):
+        assert abs(_gain_db(freq, low, high)) < 0.01, freq
