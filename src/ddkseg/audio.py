@@ -20,6 +20,11 @@ MODEL_RATE_HZ = 16000
 SAMPLES_PER_MS = MODEL_RATE_HZ // 1000
 # Largest representable positive amplitude: int16 32767 scaled by 1/32768.
 MAX_AMPLITUDE = 32767.0 / 32768.0
+# WAVE_FORMAT_EXTENSIBLE's format tag, and the sub-format GUID that makes it integer PCM.
+_FORMAT_EXTENSIBLE = 0xFFFE
+_SUBTYPE_PCM = bytes.fromhex("0100000000001000800000aa00389b71")
+# Data chunk size that a recorder streaming to a pipe writes: read to end of file.
+_STREAMED_SIZE = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,12 @@ class WindowPlan:
 
 
 def read_wav(path) -> Waveform:
-    """Read a 16-bit PCM RIFF/WAVE file (mono or stereo; stereo is averaged)."""
+    """Read a 16-bit PCM RIFF/WAVE file (mono or stereo; stereo is averaged).
+
+    The fmt chunk may be plain PCM or WAVE_FORMAT_EXTENSIBLE with the PCM
+    sub-format. A data chunk whose size is 0xFFFFFFFF (a streamed file)
+    runs to the end of the file; a trailing partial frame is dropped.
+    """
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise DataError(f"{path}: not a RIFF/WAVE file")
@@ -90,6 +100,11 @@ def read_wav(path) -> Waveform:
             if len(body) < 16:
                 raise DataError(f"{path}: fmt chunk truncated")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
+            if fmt[0] == _FORMAT_EXTENSIBLE and body[24:40] == _SUBTYPE_PCM:
+                fmt = (1,) + fmt[1:]
+        elif chunk_id == b"data" and chunk_size == _STREAMED_SIZE:
+            payload = body
+            break
         elif chunk_id == b"data":
             if len(body) < chunk_size:
                 raise DataError(f"{path}: data chunk truncated")

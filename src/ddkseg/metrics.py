@@ -8,7 +8,6 @@ pairs) yield None rather than a fake zero so downstream consumers can tell
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -280,11 +279,3 @@ def evaluate_pairs(trials: list[tuple[str, list[Segment], list[Segment]]]) -> Ev
         rate_pearson_r=rate_r,
         rate_mae=rate_mae,
     )
-
-
-def frame_accuracy(predicted: np.ndarray, target: np.ndarray) -> float:
-    if len(predicted) != len(target):
-        raise ValueError(f"length mismatch: {len(predicted)} vs {len(target)}")
-    if len(predicted) == 0:
-        return math.nan
-    return float(np.mean(np.asarray(predicted) == np.asarray(target)))

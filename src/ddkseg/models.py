@@ -183,18 +183,19 @@ class Segmenter:
         return n_samples // SAMPLES_PER_MS
 
     def forward(self, x: np.ndarray, train: bool = False,
-                rng: np.random.Generator | None = None, *, cache: bool = True,
+                rng: np.random.Generator | None = None, *,
                 keep: tuple[int, int] | None = None) -> np.ndarray:
         """(batch, 1, samples) -> logits (batch, frames, n_classes).
 
-        cache=False is the inference path: no layer keeps anything for
-        backward() (see ddkseg.nn.layers), and x is left unchanged.
+        train=True keeps what backward() needs; train=False is the
+        inference path: no layer keeps anything for backward() (see
+        ddkseg.nn.layers), and x is left unchanged.
 
         keep=(lo, hi) asks for the logits of frames [lo, hi) only, as
-        (batch, hi - lo, n_classes), on the inference path (train=False,
-        cache=False). A CNN model then computes the stride-1 top of its conv
-        stack, and its per-frame head, on just the frames those logits
-        read: equal to the full forward's [:, lo:hi] up to float rounding.
+        (batch, hi - lo, n_classes), on the inference path. A CNN model
+        then computes the stride-1 top of its conv stack, and its
+        per-frame head, on just the frames those logits read: equal to the
+        full forward's [:, lo:hi] up to float rounding.
         An LSTM model computes the whole window and slices the logits,
         because its recurrence reads every frame.
         """
@@ -203,19 +204,19 @@ class Segmenter:
         if keep is not None:
             if not 0 <= keep[0] < keep[1] <= frames:
                 raise ValueError(f"keep span {keep} is empty or outside the window's {frames} frames")
-            if train or cache:
-                raise ValueError("keep is for inference: pass train=False and cache=False")
+            if train:
+                raise ValueError("keep is for inference: pass train=False")
         if keep is not None and not self.cfg.lstm_layers:
             z = self._cropped_conv(x, *keep)
         else:
-            z = self.conv.forward(x, train=train, rng=rng, cache=cache)
+            z = self.conv.forward(x, train=train, rng=rng)
             if z.shape[2] < frames:
                 raise InternalError(f"conv stack produced {z.shape[2]} frames, expected >= {frames}")
             self._frames = frames
             self._conv_frames = z.shape[2]
             z = z[:, :, :frames]
         z = np.ascontiguousarray(z.transpose(0, 2, 1))
-        logits = self.head.forward(z, train=train, rng=rng, cache=cache)
+        logits = self.head.forward(z, train=train, rng=rng)
         if keep is not None and self.cfg.lstm_layers:
             return logits[:, keep[0]:keep[1]]
         return logits
@@ -239,7 +240,7 @@ class Segmenter:
         z = x
         for block in blocks[:n_bottom]:
             for layer in block:
-                z = layer.forward(z, cache=False)
+                z = layer.forward(z)
         top = blocks[n_bottom:]
         pad = sum(conv.padding for conv, *_ in top)
         reach = sum(conv.dilation * (conv.kernel - 1) for conv, *_ in top)
@@ -250,9 +251,9 @@ class Segmenter:
             b = min(length, hi + reach - pad)
             left = conv.padding if a == 0 else 0
             right = conv.padding if b == length else 0
-            z = conv.forward(z[:, :, a - offset:b - offset], cache=False, pad=(left, right))
+            z = conv.forward(z[:, :, a - offset:b - offset], pad=(left, right))
             for layer in rest:
-                z = layer.forward(z, cache=False)
+                z = layer.forward(z)
             offset = a + conv.padding - left
             pad -= conv.padding
             reach -= conv.dilation * (conv.kernel - 1)
@@ -270,9 +271,10 @@ class Segmenter:
         self.conv.backward(dz)
 
     def loss_and_grads(self, x: np.ndarray, targets: np.ndarray,
-                       class_weights: np.ndarray | None = None, train: bool = True,
+                       class_weights: np.ndarray | None = None,
                        rng: np.random.Generator | None = None) -> tuple[float, dict[str, np.ndarray]]:
-        logits = self.forward(x, train=train, rng=rng)
+        """One training step's loss and gradients (train mode)."""
+        logits = self.forward(x, train=True, rng=rng)
         loss, dlogits = nn.softmax_cross_entropy(logits, targets, class_weights)
         self.backward(dlogits)
         return loss, self.named_grads()
@@ -310,7 +312,7 @@ def predict_window(model: Segmenter, window: Waveform) -> FramePrediction:
 def _window_probs(model: Segmenter, x: np.ndarray, keep: tuple[int, int] | None = None) -> np.ndarray:
     """float32 class probabilities (n, frames, classes) of n stacked windows
     (n, 1, samples), of frames [keep[0], keep[1]) only when keep is given."""
-    logits = model.forward(x, train=False, cache=False, keep=keep)
+    logits = model.forward(x, keep=keep)
     return nn.softmax_probs(logits.astype(np.float64)).astype(np.float32)
 
 
@@ -330,7 +332,7 @@ def predict_file(model: Segmenter, wave: Waveform) -> FramePrediction:
     window, if any, goes whole and alone through predict_window, so it is
     never zero-padded to a full window; the backward LSTM direction would
     read that padding. Stacking changes the probabilities by float32
-    rounding only. All forwards here keep no backward caches.
+    rounding only. All forwards here are eval-mode and keep no backward caches.
 
     The owned spans' probabilities are stitched and each frame's label is
     their argmax. Output length equals the model-rate waveform's

@@ -5,14 +5,15 @@ fills self.grads with matching shapes during backward(). Convolution runs
 as a tap-sliced im2col followed by one batched GEMM, which is where nearly
 all training time goes.
 
-Cache contract: forward(x, cache=True) keeps what backward() needs (conv
-columns, batchnorm's normalized input, the leaky ReLU mask, the linear
-input, the LSTM states), so backward() must follow the forward it belongs
-to. forward(x, cache=False) is the inference path: the layer keeps nothing
-for backward (and drops any cache an earlier forward left), and it may
-write its output into x's memory, so the caller must not need x again.
-In eval mode it also takes cheaper kernels: batchnorm applies one
-per-channel scale and shift, and leaky ReLU is one maximum.
+Cache contract: forward(x, train=True) is the training path and keeps
+what backward() needs (conv columns, batchnorm's normalized input, the
+leaky ReLU mask, the dropout mask, the linear input, the LSTM states), so
+backward() must follow the forward it belongs to. forward(x) with
+train=False is the inference path: the layer keeps nothing for backward
+(and drops any cache an earlier forward left), and it may write its output
+into x's memory, so the caller must not need x again. It also takes
+cheaper kernels: batchnorm applies one per-channel scale and shift, and
+leaky ReLU is one maximum.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ class Layer:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
 
-    def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None, *,
-                cache: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -66,7 +66,7 @@ class Conv1d(Layer):
         }
         self._cache = None
 
-    def forward(self, x, train=False, rng=None, *, cache=True, pad=None):
+    def forward(self, x, train=False, rng=None, *, pad=None):
         """pad=(left, right) replaces the layer's own zero padding for this
         call, so a caller that hands in a slice of a longer input can pad
         only the sides where that slice meets the real edge."""
@@ -93,7 +93,7 @@ class Conv1d(Layer):
         w2 = self.params["weight"].reshape(self.out_channels, -1)
         out = np.matmul(w2, cols2)
         out += self.params["bias"][None, :, None]
-        self._cache = (cols2, xp.shape, left, length) if cache else None
+        self._cache = (cols2, xp.shape, left, length) if train else None
         return out
 
     def backward(self, dout):
@@ -131,40 +131,31 @@ class BatchNorm1d(Layer):
     def extra_state(self):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
-    def forward(self, x, train=False, rng=None, *, cache=True):
+    def forward(self, x, train=False, rng=None):
         if x.shape[1] != self.channels:
             raise ValueError(f"batchnorm expects {self.channels} channels, got {x.shape[1]}")
-        if not (train or cache):
+        if not train:
             scale = self.params["gamma"] / np.sqrt(self.running_var + self.eps)
             x *= scale[:, None]
             x += (self.params["beta"] - self.running_mean * scale)[:, None]
             self._cache = None
             return x
-        gamma = self.params["gamma"][None, :, None]
-        beta = self.params["beta"][None, :, None]
-        if train:
-            n = x.shape[0] * x.shape[2]
-            mean = x.mean(axis=(0, 2))
-            var = x.var(axis=(0, 2))
-            inv_std = 1.0 / np.sqrt(var + self.eps)
-            xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
-            unbiased = var * (n / (n - 1)) if n > 1 else var
-            self.running_mean += self.momentum * (mean - self.running_mean)
-            self.running_var += self.momentum * (unbiased - self.running_var)
-            self._cache = ("train", xhat, inv_std) if cache else None
-        else:
-            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-            xhat = (x - self.running_mean[None, :, None]) * inv_std[None, :, None]
-            self._cache = ("eval", xhat, inv_std) if cache else None
-        return gamma * xhat + beta
+        n = x.shape[0] * x.shape[2]
+        mean = x.mean(axis=(0, 2))
+        var = x.var(axis=(0, 2))
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
+        unbiased = var * (n / (n - 1)) if n > 1 else var
+        self.running_mean += self.momentum * (mean - self.running_mean)
+        self.running_var += self.momentum * (unbiased - self.running_var)
+        self._cache = (xhat, inv_std)
+        return self.params["gamma"][None, :, None] * xhat + self.params["beta"][None, :, None]
 
     def backward(self, dout):
-        mode, xhat, inv_std = self._cache
+        xhat, inv_std = self._cache
         gamma = self.params["gamma"]
         self.grads["gamma"] = (dout * xhat).sum(axis=(0, 2))
         self.grads["beta"] = dout.sum(axis=(0, 2))
-        if mode == "eval":
-            return dout * (gamma * inv_std)[None, :, None]
         n = dout.shape[0] * dout.shape[2]
         dxhat = dout * gamma[None, :, None]
         sum_dxhat = dxhat.sum(axis=(0, 2))[None, :, None]
@@ -178,8 +169,8 @@ class LeakyReLU(Layer):
         self.slope = slope
         self._neg = None
 
-    def forward(self, x, train=False, rng=None, *, cache=True):
-        if not cache:
+    def forward(self, x, train=False, rng=None):
+        if not train:
             self._neg = None
             return np.maximum(x, x * x.dtype.type(self.slope), out=x)
         neg = x < 0
@@ -200,7 +191,7 @@ class Dropout(Layer):
         self.p = p
         self._mask = None
 
-    def forward(self, x, train=False, rng=None, *, cache=True):
+    def forward(self, x, train=False, rng=None):
         if not train or self.p == 0.0:
             self._mask = None
             return x
@@ -208,7 +199,7 @@ class Dropout(Layer):
             raise ValueError("dropout in train mode needs an rng")
         keep = rng.random(x.shape, dtype=np.float32) >= self.p
         mask = keep.astype(x.dtype) / (1.0 - self.p)
-        self._mask = mask if cache else None
+        self._mask = mask
         return x * mask
 
     def backward(self, dout):
@@ -232,12 +223,12 @@ class Linear(Layer):
         }
         self._cache = None
 
-    def forward(self, x, train=False, rng=None, *, cache=True):
+    def forward(self, x, train=False, rng=None):
         if x.shape[-1] != self.in_features:
             raise ValueError(f"linear expects {self.in_features} features, got {x.shape[-1]}")
         x2 = x.reshape(-1, self.in_features)
         out = x2 @ self.params["weight"].T + self.params["bias"]
-        self._cache = (x2, x.shape) if cache else None
+        self._cache = (x2, x.shape) if train else None
         return out.reshape(x.shape[:-1] + (self.out_features,))
 
     def backward(self, dout):
@@ -255,9 +246,9 @@ class Sequential(Layer):
         super().__init__()
         self.layers = layers
 
-    def forward(self, x, train=False, rng=None, *, cache=True):
+    def forward(self, x, train=False, rng=None):
         for layer in self.layers:
-            x = layer.forward(x, train=train, rng=rng, cache=cache)
+            x = layer.forward(x, train=train, rng=rng)
         return x
 
     def backward(self, dout):

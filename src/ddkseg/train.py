@@ -124,7 +124,7 @@ def _evaluate(model: Segmenter, x: np.ndarray, y: np.ndarray, batch_size: int,
     total_loss, total_frames, correct = 0.0, 0, 0
     for lo in range(0, len(x), batch_size):
         xb, yb = x[lo:lo + batch_size], y[lo:lo + batch_size]
-        logits = model.forward(xb, train=False, cache=False)
+        logits = model.forward(xb)
         loss, _ = nn.softmax_cross_entropy(logits, yb, weights)
         n = yb.size
         total_loss += loss * n
@@ -157,7 +157,7 @@ def train_model(train_trials: list[Trial], val_trials: list[Trial],
         epoch_loss, seen = 0.0, 0
         for lo in range(0, len(order), cfg.batch_size):
             sel = order[lo:lo + cfg.batch_size]
-            loss, grads = model.loss_and_grads(x[sel], y[sel], weights, train=True, rng=rng)
+            loss, grads = model.loss_and_grads(x[sel], y[sel], weights, rng=rng)
             nn.adam_step(model.named_params(), grads, adam)
             epoch_loss += loss * y[sel].size
             seen += y[sel].size

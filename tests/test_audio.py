@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddkseg.audio import (MODEL_RATE_HZ, Waveform, WindowPlan, cut_windows, read_wav, resample,
                           stitch_predictions, write_wav)
@@ -16,6 +18,17 @@ def make_wav_bytes(frames: bytes, channels=1, sample_rate=44100, bits=16, audio_
         sample_rate * channels * bits // 8, channels * bits // 8, bits,
         b"data", len(frames))
     return header + frames
+
+
+PCM_GUID = bytes.fromhex("0100000000001000800000aa00389b71")
+
+
+def make_extensible_wav_bytes(frames: bytes, channels=1, sample_rate=44100, subformat=PCM_GUID) -> bytes:
+    block = 2 * channels
+    fmt = struct.pack("<HHIIHHHHI16s", 0xFFFE, channels, sample_rate, sample_rate * block, block, 16,
+                      22, 16, 0x4 if channels == 1 else 0x3, subformat)
+    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(frames)) + frames
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
 
 
 def test_read_wav_int16_scaling(tmp_path):
@@ -223,3 +236,56 @@ def test_read_wav_rejects_inconsistent_fmt(tmp_path, field, offset, value, messa
     path.write_bytes(bytes(data))
     with pytest.raises(DataError, match=message):
         read_wav(path)
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_read_wav_extensible_pcm_reads_like_plain_pcm(tmp_path, rng, channels):
+    frames = rng.integers(-32768, 32768, size=12 * channels).astype("<i2").tobytes()
+    (tmp_path / "plain.wav").write_bytes(make_wav_bytes(frames, channels=channels))
+    (tmp_path / "ext.wav").write_bytes(make_extensible_wav_bytes(frames, channels=channels))
+    plain, ext = read_wav(tmp_path / "plain.wav"), read_wav(tmp_path / "ext.wav")
+    assert ext.sample_rate_hz == plain.sample_rate_hz == 44100
+    np.testing.assert_array_equal(ext.samples, plain.samples)
+
+
+def test_read_wav_extensible_rejects_non_pcm_subformat(tmp_path):
+    float_guid = bytes.fromhex("0300000000001000800000aa00389b71")
+    path = tmp_path / "f.wav"
+    path.write_bytes(make_extensible_wav_bytes(b"\x00" * 8, subformat=float_guid))
+    with pytest.raises(DataError, match=r"only 16-bit integer PCM is supported \(format=65534, bits=16\)"):
+        read_wav(path)
+
+
+@pytest.mark.parametrize("tail", [0, 1, 3])
+def test_read_wav_streamed_data_runs_to_end_of_file(tmp_path, rng, tail):
+    # A recorder writing to a pipe cannot seek back, so both sizes stay 0xFFFFFFFF.
+    pcm = rng.integers(-32768, 32768, size=(9, 2)).astype("<i2")
+    data = bytearray(make_wav_bytes(pcm.tobytes() + b"\x01" * tail, channels=2))
+    struct.pack_into("<I", data, 4, 0xFFFFFFFF)
+    struct.pack_into("<I", data, 40, 0xFFFFFFFF)
+    path = tmp_path / "streamed.wav"
+    path.write_bytes(bytes(data))
+    np.testing.assert_array_equal(read_wav(path).samples, pcm.mean(axis=1) / 32768.0)
+
+
+# Byte offset and struct format of every size and fmt field in make_wav_bytes' header.
+WAV_FIELDS = [(4, "<I"), (16, "<I"), (20, "<H"), (22, "<H"), (24, "<I"), (28, "<I"), (32, "<H"), (34, "<H"),
+              (40, "<I")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(extensible=st.booleans(),
+       mutations=st.lists(st.tuples(st.sampled_from(WAV_FIELDS), st.integers(0, 2**32 - 1)), max_size=4),
+       cut=st.integers(0, 200))
+def test_read_wav_mutated_header_raises_only_data_error(tmp_path_factory, extensible, mutations, cut):
+    frames = np.arange(-40, 40, dtype="<i2").tobytes()
+    data = bytearray(make_extensible_wav_bytes(frames) if extensible else make_wav_bytes(frames))
+    for (offset, field), value in mutations:
+        struct.pack_into(field, data, offset, value % 2 ** (8 * struct.calcsize(field)))
+    path = tmp_path_factory.getbasetemp() / "mutated.wav"
+    path.write_bytes(bytes(data[:len(data) - cut]))
+    try:
+        wave = read_wav(path)
+    except DataError:
+        return
+    assert wave.samples.ndim == 1 and wave.sample_rate_hz > 0

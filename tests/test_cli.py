@@ -6,9 +6,12 @@ import json
 import numpy as np
 import pytest
 from conftest import TINY_LSTM
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddkseg import cli
-from ddkseg.audio import Waveform, write_wav
+from ddkseg.audio import Waveform, read_wav, write_wav
+from ddkseg.errors import DataError
 from ddkseg.models import Segmenter, save_checkpoint
 
 
@@ -104,3 +107,22 @@ def test_segment_zero_rate_input_exits_2(tmp_path, capsys, tiny_checkpoint):
     assert code == cli.EXIT_DATA
     assert sorted(p.name for p in out.iterdir()) == ["a.csv", "c.csv"]
     assert "b_0hz.wav: sample rate is 0 Hz" in capsys.readouterr().err
+
+
+@settings(max_examples=60, deadline=None)
+@given(blob=st.one_of(st.binary(max_size=300),
+                      st.binary(max_size=300).map(lambda b: b"RIFF" + b[:4] + b"WAVE" + b[4:])))
+def test_segment_on_arbitrary_bytes_is_data_error_never_internal(tmp_path_factory, blob):
+    work = tmp_path_factory.getbasetemp()
+    checkpoint = work / "fuzz_tiny.npz"
+    if not checkpoint.exists():
+        save_checkpoint(checkpoint, Segmenter(TINY_LSTM, seed=0))
+    wav = work / "fuzz.wav"
+    wav.write_bytes(blob)
+    try:
+        read_wav(wav)
+        expected = cli.EXIT_OK
+    except DataError:
+        expected = cli.EXIT_DATA
+    code = cli.main(["segment", str(wav), "--checkpoint", str(checkpoint), "--out-dir", str(work / "fuzz_out")])
+    assert code == expected

@@ -42,9 +42,9 @@ def _spans(frames):
 
 
 def _check_crop(model, x):
-    full = model.forward(x, cache=False)
+    full = model.forward(x)
     for lo, hi in _spans(full.shape[1]):
-        kept = model.forward(x, keep=(lo, hi), cache=False)
+        kept = model.forward(x, keep=(lo, hi))
         assert kept.shape == (x.shape[0], hi - lo, model.cfg.n_classes)
         np.testing.assert_allclose(kept, full[:, lo:hi], rtol=0, atol=1e-6)
 
@@ -72,13 +72,13 @@ def test_cropped_forward_equals_full_forward_on_checkpoint(cnn_model):
 def test_bad_keep_span_raises(keep):
     model = Segmenter(TINY_CNN, seed=0)
     with pytest.raises(ValueError, match="keep span"):
-        model.forward(np.zeros((1, 1, 1600)), keep=keep, cache=False)
+        model.forward(np.zeros((1, 1, 1600)), keep=keep)
 
 
 def test_keep_needs_the_inference_path():
     model = Segmenter(TINY_CNN, seed=0)
     with pytest.raises(ValueError, match="inference"):
-        model.forward(np.zeros((1, 1, 1600)), keep=(0, 10))
+        model.forward(np.zeros((1, 1, 1600)), train=True, keep=(0, 10))
 
 
 @pytest.mark.parametrize("pad", [(0, 0), (3, 0), (0, 2), (1, 4)])
@@ -88,8 +88,8 @@ def test_conv_explicit_padding(rng, pad):
     xp = np.pad(x, ((0, 0), (0, 0), pad))
     plain = nn.Conv1d(2, 3, 3, stride=1, padding=0, dilation=2, dtype=np.float64)
     plain.params = conv.params
-    out = conv.forward(x, pad=pad)
-    np.testing.assert_allclose(out, plain.forward(xp), rtol=0, atol=1e-12)
+    out = conv.forward(x, train=True, pad=pad)
+    np.testing.assert_allclose(out, plain.forward(xp, train=True), rtol=0, atol=1e-12)
     dout = rng.standard_normal(out.shape)
     np.testing.assert_allclose(conv.backward(dout), plain.backward(dout)[:, :, pad[0]:pad[0] + 17],
                                rtol=0, atol=1e-12)

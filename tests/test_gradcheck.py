@@ -1,20 +1,24 @@
 """Finite-difference validation of every backward pass.
 
-Each check runs in float64 with dropout disabled. Losses are random linear
+Each check runs in float64, in train mode (the only mode that keeps what
+backward needs), with dropout disabled. Losses are random linear
 projections of the output (for bare stacks) or the softmax cross-entropy
 (for classifier heads), so every parameter receives a healthy gradient.
 """
 
 import numpy as np
+import pytest
+from conftest import TINY_CNN, TINY_LSTM
 from gradcheck import grad_check
 
 from ddkseg import nn
+from ddkseg.models import Segmenter
 
 
-def projection_loss(stack, x, proj, train=False):
+def projection_loss(stack, x, proj):
     """loss = sum(output * proj); gradient of output is proj."""
     def fn():
-        out = stack.forward(x, train=train, rng=np.random.default_rng(0))
+        out = stack.forward(x, train=True, rng=np.random.default_rng(0))
         loss = float((out * proj).sum())
         stack.backward((proj * np.ones_like(out)).astype(out.dtype))
         return loss, stack.named_grads()
@@ -27,18 +31,6 @@ def test_linear_gradients(rng):
     proj = rng.standard_normal((6, 4))
     err = grad_check(projection_loss(lin, x, proj), lin.named_params())
     assert err < 1e-6
-
-
-def test_conv_bn_leaky_stack_gradients(rng):
-    stack = nn.Sequential([
-        nn.Conv1d(2, 3, 5, stride=2, padding=2, rng=rng, dtype=np.float64),
-        nn.BatchNorm1d(3, dtype=np.float64),
-        nn.LeakyReLU(0.01),
-    ])
-    x = rng.standard_normal((2, 2, 12))
-    proj = rng.standard_normal((2, 3, 6))
-    err = grad_check(projection_loss(stack, x, proj), stack.named_params())
-    assert err < 1e-5
 
 
 def test_conv_bn_train_mode_gradients(rng):
@@ -56,7 +48,7 @@ def test_conv_bn_train_mode_gradients(rng):
     # mean, so its true gradient is exactly zero and the check would only
     # compare differencing noise against the 1e-8 floor.
     params = {k: v for k, v in stack.named_params().items() if k != "0.bias"}
-    err = grad_check(projection_loss(stack, x, proj, train=True), params)
+    err = grad_check(projection_loss(stack, x, proj), params)
     assert err < 1e-5
 
 
@@ -94,10 +86,27 @@ def test_classifier_head_gradients(rng):
     y = rng.integers(0, 3, size=8)
 
     def fn():
-        logits = stack.forward(x)
+        logits = stack.forward(x, train=True)
         loss, dlogits = nn.softmax_cross_entropy(logits, y)
         stack.backward(dlogits)
         return loss, stack.named_grads()
 
     err = grad_check(fn, stack.named_params())
     assert err < 1e-6
+
+
+@pytest.mark.parametrize("cfg", [TINY_LSTM, TINY_CNN], ids=["lstm", "cnn"])
+def test_whole_segmenter_gradients(cfg):
+    # Segmenter.loss_and_grads end to end: conv stack, BatchNorm on batch
+    # statistics, LeakyReLU, BiLSTM layers (for "lstm") and head, 20 frames.
+    model = Segmenter(cfg, seed=3, dtype=np.float64)
+    rng = np.random.default_rng(5)
+    x = 0.5 * rng.standard_normal((2, 1, 320))
+    y = rng.integers(0, 3, size=(2, 20))
+    # Conv biases feed train-mode batchnorm, which subtracts their channel
+    # mean: their true gradient is exactly zero (see the conv-bn check).
+    params = {k: v for k, v in model.named_params().items() if not (k.startswith("conv.") and k.endswith(".bias"))}
+    # The largest gradients of each tensor: differencing noise swamps the
+    # smallest ones, and exhaustive differencing of the LSTM takes seconds.
+    err = grad_check(lambda: model.loss_and_grads(x, y), params, coords_per_param=10, selection="largest")
+    assert err < 1e-5

@@ -59,8 +59,9 @@ def test_matches_scalar_oracle(rng):
                                lstm.params["fw_b"], hid)
     bw = lstm_oracle_direction(x[:, ::-1], lstm.params["bw_w_ih"], lstm.params["bw_w_hh"],
                                lstm.params["bw_b"], hid)[:, ::-1]
-    np.testing.assert_allclose(out[:, :, :hid], fw, atol=1e-10)
-    np.testing.assert_allclose(out[:, :, hid:], bw, atol=1e-10)
+    np.testing.assert_allclose(out[:, :, :hid], fw, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out[:, :, hid:], bw, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(lstm.forward(x, train=True), out)
 
 
 def test_direction_swap_symmetry(rng):
@@ -88,10 +89,12 @@ def test_forward_deterministic(rng):
 @pytest.mark.parametrize("batch", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("t_len", [0, 1, 7])
 def test_cache_free_path_matches_cached_path(rng, batch, t_len):
+    # Training keeps the states for backward, eval keeps nothing; same output.
     lstm = nn.BiLSTM(3, 4, rng=rng, dtype=np.float64)
     x = rng.standard_normal((batch, t_len, 3))
-    cached = lstm.forward(x)
-    fused = lstm.forward(x, cache=False)
+    cached = lstm.forward(x, train=True)
+    assert lstm._cache is not None
+    fused = lstm.forward(x)
     assert fused.shape == cached.shape == (batch, t_len, 8)
     np.testing.assert_allclose(fused, cached, rtol=0, atol=1e-12)
     assert lstm._cache is None
@@ -101,4 +104,4 @@ def test_cache_free_path_across_projection_blocks(rng):
     # Crosses two block boundaries, where the state carries over.
     lstm = nn.BiLSTM(3, 4, rng=rng, dtype=np.float64)
     x = rng.standard_normal((2, 2 * PROJ_BLOCK + 3, 3))
-    np.testing.assert_allclose(lstm.forward(x, cache=False), lstm.forward(x), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(lstm.forward(x), lstm.forward(x, train=True), rtol=0, atol=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ddkseg.metrics import (MatchedPairs, boundary_mad, ddk_rate, ddk_rate_vot_only, duration_stats,
-                            evaluate_pairs, f1_scores, frame_accuracy, match_segments, trim_outliers)
+                            evaluate_pairs, f1_scores, match_segments, trim_outliers)
 from ddkseg.postproc import OTHER, VOT, VOWEL, Segment
 
 
@@ -385,9 +385,3 @@ def test_evaluate_pairs_identity_report(rng):
     assert report.rate_pearson_r == pytest.approx(1.0)
     assert report.rate_mae == 0.0
     assert len(report.format_table().splitlines()) >= 10
-
-
-def test_frame_accuracy():
-    assert frame_accuracy(np.array([0, 1, 2, 1]), np.array([0, 1, 2, 2])) == 0.75
-    with pytest.raises(ValueError):
-        frame_accuracy(np.zeros(3), np.zeros(4))

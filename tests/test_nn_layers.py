@@ -82,7 +82,7 @@ def test_batchnorm_train_normalizes(rng):
 def test_batchnorm_eval_identity_with_unit_stats(rng):
     bn = nn.BatchNorm1d(3, dtype=np.float64)
     x = rng.standard_normal((2, 3, 20))
-    out = bn.forward(x, train=False)
+    out = bn.forward(x.copy(), train=False)  # eval may overwrite its input
     np.testing.assert_allclose(out, x, atol=1e-4)
 
 
@@ -217,18 +217,33 @@ def _batchnorm_with_stats(rng):
     return bn
 
 
-@pytest.mark.parametrize("make, shape", [
-    (lambda rng: nn.Conv1d(2, 3, 5, stride=2, padding=2, rng=rng, dtype=np.float64), (2, 2, 11)),
-    (_batchnorm_with_stats, (2, 3, 9)),
-    (lambda rng: nn.LeakyReLU(0.01), (2, 3, 9)),
-    (lambda rng: nn.Dropout(0.3), (2, 3, 9)),
-    (lambda rng: nn.Linear(4, 3, rng=rng, dtype=np.float64), (2, 5, 4)),
+def _held(layer):
+    return {k for k, v in vars(layer).items() if k.startswith("_") and v is not None}
+
+
+def _running_moments_norm(bn, x):
+    inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
+    xhat = (x - bn.running_mean[:, None]) * inv_std[:, None]
+    return xhat * bn.params["gamma"][:, None] + bn.params["beta"][:, None]
+
+
+@pytest.mark.parametrize("make, shape, reference", [
+    (lambda rng: nn.Conv1d(2, 3, 5, stride=2, padding=2, rng=rng, dtype=np.float64), (2, 2, 11), None),
+    (_batchnorm_with_stats, (2, 3, 9), _running_moments_norm),
+    (lambda rng: nn.LeakyReLU(0.01), (2, 3, 9), None),
+    (lambda rng: nn.Dropout(0.3), (2, 3, 9), lambda layer, x: x),
+    (lambda rng: nn.Linear(4, 3, rng=rng, dtype=np.float64), (2, 5, 4), None),
 ], ids=["conv", "batchnorm", "leaky_relu", "dropout", "linear"])
-def test_cache_free_eval_matches_cached_eval(rng, make, shape):
+def test_cache_free_eval_matches_cached_eval(rng, make, shape, reference):
+    """A training forward keeps a cache; the eval forward after it drops
+    that cache, keeps nothing, and matches the reference: the training
+    output where the layer has no mode (reference None), the running-moment
+    formula for batchnorm, identity for dropout."""
     layer = make(rng)
     x = rng.standard_normal(shape)
-    cached = layer.forward(x.copy(), train=False)
-    fresh = layer.forward(x.copy(), train=False, cache=False)  # may overwrite its input
-    np.testing.assert_allclose(fresh, cached, rtol=1e-13, atol=1e-14)
-    held = {k: v for k, v in vars(layer).items() if k.startswith("_") and v is not None}
-    assert not held, f"{type(layer).__name__} kept {sorted(held)} with cache=False"
+    cached = layer.forward(x.copy(), train=True, rng=np.random.default_rng(0))
+    assert _held(layer), f"{type(layer).__name__} kept nothing for backward in train mode"
+    expected = cached if reference is None else reference(layer, x)
+    fresh = layer.forward(x.copy())  # may overwrite its input
+    np.testing.assert_allclose(fresh, expected, rtol=1e-13, atol=1e-14)
+    assert not _held(layer), f"{type(layer).__name__} kept {sorted(_held(layer))} in eval mode"
