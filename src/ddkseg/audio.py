@@ -3,6 +3,9 @@
 Audio is carried as float64 mono samples in [-1.0, 1.0). The model rate is
 16 kHz: at that rate one 1 ms label frame corresponds to 16 samples, which
 is what the rest of the pipeline assumes.
+
+The models train and run on WINDOW_MS (1 s) windows; at inference cut_windows
+starts one every HOP_MS (800 ms) and stitch_predictions merges their frames.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from .errors import DataError, InternalError
 
 MODEL_RATE_HZ = 16000
 SAMPLES_PER_MS = MODEL_RATE_HZ // 1000
+# cut_windows leaves no gap between windows as long as 0 < HOP_MS <= WINDOW_MS.
+WINDOW_MS = 1000
+HOP_MS = 800
 # Largest representable positive amplitude: int16 32767 scaled by 1/32768.
 MAX_AMPLITUDE = 32767.0 / 32768.0
 # WAVE_FORMAT_EXTENSIBLE's format tag, and the sub-format GUID that makes it integer PCM.
@@ -50,32 +56,6 @@ class Waveform:
     @property
     def duration_ms(self) -> int:
         return int(round(1000 * len(self.samples) / self.sample_rate_hz))
-
-
-@dataclass(frozen=True)
-class WindowPlan:
-    """Fixed-length analysis windows with overlap, measured in milliseconds."""
-
-    window_ms: int = 1000
-    hop_ms: int = 800
-
-    def __post_init__(self):
-        if not 0 < self.hop_ms <= self.window_ms:
-            raise ValueError(f"need 0 < hop_ms <= window_ms, got hop={self.hop_ms} window={self.window_ms}")
-
-    def starts(self, total_ms: int) -> list[int]:
-        """Window start offsets covering [0, total_ms).
-
-        Starts advance by hop_ms; emission stops with the first window that
-        reaches the end of the signal, so a signal no longer than one window
-        yields exactly one start.
-        """
-        if total_ms <= 0:
-            return []
-        out = [0]
-        while out[-1] + self.window_ms < total_ms:
-            out.append(out[-1] + self.hop_ms)
-        return out
 
 
 def read_wav(path) -> Waveform:
@@ -157,21 +137,23 @@ def resample(wave: Waveform, target_hz: int) -> Waveform:
     return Waveform(y, target_hz)
 
 
-def cut_windows(wave: Waveform, plan: WindowPlan | None = None) -> list[tuple[int, Waveform]]:
-    """Cut a model-rate waveform into (start_ms, window) pairs per the plan.
+def cut_windows(wave: Waveform) -> list[tuple[int, Waveform]]:
+    """Cut a model-rate waveform into (start_ms, window) pairs.
 
-    Windows cover the whole signal; the last one may be shorter than
-    window_ms.
+    Starts advance by HOP_MS until a window reaches the end of the signal,
+    so the windows cover it whole (a signal no longer than WINDOW_MS gets
+    one window). The last window may be shorter than WINDOW_MS.
     """
-    if plan is None:
-        plan = WindowPlan()
     if wave.sample_rate_hz != MODEL_RATE_HZ:
         raise ValueError(f"cut_windows expects {MODEL_RATE_HZ} Hz audio, got {wave.sample_rate_hz}")
     total_ms = wave.duration_ms
+    starts = [0] if total_ms > 0 else []
+    while starts and starts[-1] + WINDOW_MS < total_ms:
+        starts.append(starts[-1] + HOP_MS)
     out = []
-    for start_ms in plan.starts(total_ms):
+    for start_ms in starts:
         lo = start_ms * SAMPLES_PER_MS
-        hi = min((start_ms + plan.window_ms) * SAMPLES_PER_MS, len(wave.samples))
+        hi = min((start_ms + WINDOW_MS) * SAMPLES_PER_MS, len(wave.samples))
         out.append((start_ms, Waveform(wave.samples[lo:hi].copy(), MODEL_RATE_HZ)))
     return out
 

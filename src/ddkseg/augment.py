@@ -1,13 +1,15 @@
 """Training-time waveform corruptions: SNR-controlled noise, band-reject
 filtering, and a synthetic low-frequency noise source.
 
+augment_wave draws one mode per example: clean, noise at one SNR of
+SNR_CHOICES_DB, or band-reject with BAND_CENTER_HZ and BAND_WIDTH_HZ ranges.
+
 All functions preserve signal length and leave label timelines untouched.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,15 +17,9 @@ from .audio import MAX_AMPLITUDE, Waveform
 from .dsp import apply_fir, bandstop_fir, lowpass_fir
 
 NOTCH_TAPS = 255
-
-
-@dataclass(frozen=True)
-class AugmentSpec:
-    """Sampling ranges for the per-example augmentation draw."""
-
-    snr_choices_db: tuple[float, ...] = (5.0, 10.0, 15.0)
-    band_center_hz: tuple[float, float] = (500.0, 6000.0)
-    band_width_hz: tuple[float, float] = (200.0, 1000.0)
+SNR_CHOICES_DB = (5.0, 10.0, 15.0)
+BAND_CENTER_HZ = (500.0, 6000.0)
+BAND_WIDTH_HZ = (200.0, 1000.0)
 
 
 def mix_noise(signal: Waveform, noise: Waveform, snr_db: float) -> Waveform:
@@ -81,17 +77,16 @@ def synth_noise(kind: str, duration_s: float, seed: int, sample_rate_hz: int = 1
     return Waveform(np.clip(shaped, -1.0, MAX_AMPLITUDE), sample_rate_hz)
 
 
-def augment_wave(wave: Waveform, rng: np.random.Generator, spec: AugmentSpec | None = None) -> Waveform:
+def augment_wave(wave: Waveform, rng: np.random.Generator) -> Waveform:
     """Draw one augmentation mode uniformly and apply it: clean, noise at
-    one of spec.snr_choices_db (each a mode of its own), or band-reject."""
-    spec = spec or AugmentSpec()
-    modes = ("clean", *spec.snr_choices_db, "band-reject")
+    one of SNR_CHOICES_DB (each a mode of its own), or band-reject."""
+    modes = ("clean", *SNR_CHOICES_DB, "band-reject")
     mode = modes[int(rng.integers(len(modes)))]
     if mode == "clean":
         return wave
     if mode == "band-reject":
-        center = rng.uniform(*spec.band_center_hz)
-        width = rng.uniform(*spec.band_width_hz)
+        center = rng.uniform(*BAND_CENTER_HZ)
+        width = rng.uniform(*BAND_WIDTH_HZ)
         nyquist = wave.sample_rate_hz / 2.0
         low = max(50.0, center - width / 2.0)
         high = min(nyquist - 50.0, center + width / 2.0)

@@ -18,7 +18,7 @@ from pathlib import Path
 from .errors import ConfigError, DataError
 from .metrics import ddk_rate, ddk_rate_vot_only, evaluate_pairs
 from .models import ModelConfig, load_checkpoint, predict_file, save_checkpoint
-from .postproc import postprocess, read_segments_csv, write_segments_csv, write_textgrid
+from .postproc import postprocess, read_csv_rows, read_segments_csv, write_segments_csv, write_textgrid
 from .synth import generate_corpus, load_manifest
 from .train import TrainConfig, train_model, write_train_log
 from .audio import read_wav
@@ -60,7 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--no-augment", action="store_true")
-    p.add_argument("--config", default=None, help="JSON file with model/train overrides")
+    p.add_argument("--config", default=None,
+                   help='JSON file {"model": {...}, "train": {...}}: "model" sets ModelConfig fields, "train" '
+                        'any of batch_size, lr, max_epochs, patience, augment (the seed comes from --seed). '
+                        'The 1 s analysis window (audio.WINDOW_MS) and the 3 labels (postproc.N_CLASSES) '
+                        'are fixed.')
 
     p = sub.add_parser("segment", help="predict segment CSVs for wav files")
     p.add_argument("inputs", nargs="+", metavar="WAV")
@@ -110,8 +114,8 @@ def _load_train_configs(args) -> tuple[ModelConfig, TrainConfig]:
         if not path.is_file():
             raise DataError(f"config file not found: {path}")
         try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: expected a JSON object with \"model\" and/or \"train\"")
@@ -128,10 +132,12 @@ def _load_train_configs(args) -> tuple[ModelConfig, TrainConfig]:
     try:
         if "architecture" in model_over and model_over["architecture"] != args.arch:
             raise ConfigError("config file architecture conflicts with --arch")
-        unknown = set(train_over) - (set(TrainConfig.__dataclass_fields__) - {"augment_spec"})
+        unknown = set(train_over) - (set(TrainConfig.__dataclass_fields__) - {"seed"})
         if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
+            hint = " (set the seed with --seed)" if "seed" in unknown else ""
+            raise ConfigError(f"unknown train config keys: {sorted(unknown)}{hint}")
         model_cfg = ModelConfig.from_dict({**base.to_dict(), **model_over})
+        model_cfg.validate()
         train_cfg = TrainConfig(**{**train_over, **flags, "seed": args.seed})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
@@ -200,18 +206,11 @@ def _load_windows_csv(path) -> dict[str, tuple[float, float]]:
     if not path.is_file():
         raise DataError(f"windows file not found: {path}")
     out = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["path", "start_s", "end_s"]:
-            raise DataError(f"{path}: expected header path,start_s,end_s")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                out[row[0]] = (float(row[1]), float(row[2]))
-            except (IndexError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: expected path,start_s,end_s, got {row!r}") from exc
+    for lineno, row in read_csv_rows(path, ["path", "start_s", "end_s"]):
+        try:
+            out[row[0]] = (float(row[1]), float(row[2]))
+        except (IndexError, ValueError) as exc:
+            raise DataError(f"{path}:{lineno}: expected path,start_s,end_s, got {row!r}") from exc
     return out
 
 

@@ -12,15 +12,17 @@ millisecond.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import nn
-from .audio import (MODEL_RATE_HZ, SAMPLES_PER_MS, Waveform, WindowPlan, cut_windows, frame_owners, resample,
+from .audio import (MODEL_RATE_HZ, SAMPLES_PER_MS, WINDOW_MS, Waveform, cut_windows, frame_owners, resample,
                     stitch_predictions)
 from .errors import ConfigError, DataError, InternalError
+from .postproc import LABEL_NAMES, N_CLASSES
 
 CHECKPOINT_VERSION = 1
 # Full-length windows of one file that predict_file runs through one forward
@@ -37,7 +39,7 @@ class ModelConfig:
 
     The conv lists hold one entry per conv block, and their strides must
     multiply to 16, one frame per ms at 16 kHz. "cnn" has no LSTM layers
-    (lstm_layers=0); "lstm" has at least one.
+    (lstm_layers=0); "lstm" has at least one. The output layer has N_CLASSES units.
     """
 
     architecture: str = "lstm"
@@ -49,7 +51,6 @@ class ModelConfig:
     lstm_hidden: int = 128
     lstm_layers: int = 2
     fc_hidden: int = 64
-    n_classes: int = 3
     dropout_p: float = 0.1
     leaky_slope: float = 0.01
 
@@ -71,11 +72,24 @@ class ModelConfig:
         )
 
     def validate(self) -> None:
+        for name, low in (("conv_channels", 1), ("conv_kernels", 1), ("conv_strides", 1),
+                          ("conv_paddings", 0), ("conv_dilations", 1)):
+            values = getattr(self, name)
+            if type(values) is not tuple or not all(type(v) is int and v >= low for v in values):
+                raise ConfigError(f"{name} must be a list of integers >= {low}, got {values!r}")
+        for name, low in (("lstm_hidden", 0), ("lstm_layers", 0), ("fc_hidden", 1)):
+            value = getattr(self, name)
+            if not (type(value) is int and value >= low):
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not (type(self.dropout_p) in (int, float) and 0.0 <= self.dropout_p < 1.0):
+            raise ConfigError(f"dropout_p must be a number in [0, 1), got {self.dropout_p!r}")
+        if type(self.leaky_slope) not in (int, float):
+            raise ConfigError(f"leaky_slope must be a number, got {self.leaky_slope!r}")
         n = len(self.conv_channels)
         for name in ("conv_kernels", "conv_strides", "conv_paddings", "conv_dilations"):
             if len(getattr(self, name)) != n:
                 raise ConfigError(f"{name} must have {n} entries to match conv_channels")
-        stride_product = int(np.prod(self.conv_strides))
+        stride_product = math.prod(self.conv_strides)
         if stride_product != SAMPLES_PER_MS:
             raise ConfigError(f"conv stride product must be {SAMPLES_PER_MS} "
                               f"(one frame per ms at {MODEL_RATE_HZ} Hz), got {stride_product}")
@@ -100,12 +114,13 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
         data = {k: v for k, v in data.items() if k not in _RETIRED_CONFIG_KEYS}
+        if data.pop("n_classes", N_CLASSES) != N_CLASSES:  # version-1 checkpoints store it
+            raise ConfigError(f"n_classes must be {N_CLASSES}, one per label: {', '.join(LABEL_NAMES.values())}")
         known = set(cls.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        coerced = {k: tuple(v) if isinstance(cls.__dataclass_fields__[k].default, tuple) else v
-                   for k, v in data.items()}
+        coerced = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
         return cls(**coerced)
 
 
@@ -114,7 +129,7 @@ class FramePrediction:
     """Per-millisecond class decisions with the class probabilities behind them."""
 
     labels: np.ndarray  # (frames,) int8
-    probs: np.ndarray   # (frames, n_classes) float32
+    probs: np.ndarray   # (frames, N_CLASSES) float32
     padded: bool = False
 
     def __len__(self) -> int:
@@ -154,7 +169,7 @@ class Segmenter:
             nn.Linear(feat, cfg.fc_hidden, rng=rng, dtype=dtype),
             nn.LeakyReLU(cfg.leaky_slope),
             nn.Dropout(cfg.dropout_p),
-            nn.Linear(cfg.fc_hidden, cfg.n_classes, rng=rng, dtype=dtype),
+            nn.Linear(cfg.fc_hidden, N_CLASSES, rng=rng, dtype=dtype),
         ]
         self.head = nn.Sequential(head_layers)
         self._frames = 0
@@ -185,14 +200,14 @@ class Segmenter:
     def forward(self, x: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None, *,
                 keep: tuple[int, int] | None = None) -> np.ndarray:
-        """(batch, 1, samples) -> logits (batch, frames, n_classes).
+        """(batch, 1, samples) -> logits (batch, frames, N_CLASSES).
 
         train=True keeps what backward() needs; train=False is the
         inference path: no layer keeps anything for backward() (see
         ddkseg.nn.layers), and x is left unchanged.
 
         keep=(lo, hi) asks for the logits of frames [lo, hi) only, as
-        (batch, hi - lo, n_classes), on the inference path. A CNN model
+        (batch, hi - lo, N_CLASSES), on the inference path. A CNN model
         then computes the stride-1 top of its conv stack, and its
         per-frame head, on just the frames those logits read: equal to the
         full forward's [:, lo:hi] up to float rounding.
@@ -299,7 +314,7 @@ def predict_window(model: Segmenter, window: Waveform) -> FramePrediction:
     frames = len(window.samples) // SAMPLES_PER_MS
     if frames == 0:
         return FramePrediction(np.zeros(0, dtype=np.int8),
-                               np.zeros((0, model.cfg.n_classes), dtype=np.float32), padded=False)
+                               np.zeros((0, N_CLASSES), dtype=np.float32), padded=False)
     samples = window.samples
     rf = model.cfg.receptive_field_samples()
     padded = len(samples) < rf
@@ -342,13 +357,13 @@ def predict_file(model: Segmenter, wave: Waveform) -> FramePrediction:
     wave16 = resample(wave, MODEL_RATE_HZ)
     if len(wave16) == 0:
         return FramePrediction(np.zeros(0, dtype=np.int8),
-                               np.zeros((0, model.cfg.n_classes), dtype=np.float32))
+                               np.zeros((0, N_CLASSES), dtype=np.float32))
     duration_ms = wave16.duration_ms
     covered_ms = len(wave16.samples) // SAMPLES_PER_MS
     if covered_ms == 0:
         # Sub-frame audio: nothing to classify, call it background.
         labels = np.zeros(duration_ms, dtype=np.int8)
-        probs = np.full((duration_ms, model.cfg.n_classes), 1.0 / model.cfg.n_classes, dtype=np.float32)
+        probs = np.full((duration_ms, N_CLASSES), 1.0 / N_CLASSES, dtype=np.float32)
         return FramePrediction(labels, probs, padded=duration_ms > 0)
 
     windows = cut_windows(wave16)
@@ -358,7 +373,7 @@ def predict_file(model: Segmenter, wave: Waveform) -> FramePrediction:
     spans = [(edges[i] - start, edges[i + 1] - start) for i, (start, _) in enumerate(windows)]
     # Only the last window can be short. Full ones need no padding unless
     # the receptive field is longer than a window.
-    full_samples = WindowPlan().window_ms * SAMPLES_PER_MS
+    full_samples = WINDOW_MS * SAMPLES_PER_MS
     rf = model.cfg.receptive_field_samples()
     n_full = sum(len(w) == full_samples and len(w) >= rf for _, w in windows)
     pieces = []  # (window index, probabilities of the frames it owns)

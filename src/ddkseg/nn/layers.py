@@ -8,7 +8,8 @@ all training time goes.
 Cache contract: forward(x, train=True) is the training path and keeps
 what backward() needs (conv columns, batchnorm's normalized input, the
 leaky ReLU mask, the dropout mask, the linear input, the LSTM states), so
-backward() must follow the forward it belongs to. forward(x) with
+backward() must follow the forward it belongs to (after an eval forward
+it raises ValueError; dropout's passes dout on). forward(x) with
 train=False is the inference path: the layer keeps nothing for backward
 (and drops any cache an earlier forward left), and it may write its output
 into x's memory, so the caller must not need x again. It also takes
@@ -21,6 +22,10 @@ from __future__ import annotations
 import numpy as np
 
 from .ops import kaiming_uniform
+
+# BatchNorm1d's running-moment update weight, and its variance floor.
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 
 
 class Layer:
@@ -35,6 +40,12 @@ class Layer:
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _train_cache(self, cache):
+        """Return cache; raise ValueError if the last forward ran in eval mode and kept none."""
+        if cache is None:
+            raise ValueError(f"{type(self).__name__}.backward needs a forward(..., train=True) first")
+        return cache
 
     def extra_state(self) -> dict[str, np.ndarray]:
         """Non-trainable arrays that still belong in checkpoints."""
@@ -97,7 +108,7 @@ class Conv1d(Layer):
         return out
 
     def backward(self, dout):
-        cols2, xp_shape, left, length = self._cache
+        cols2, xp_shape, left, length = self._train_cache(self._cache)
         batch, _, out_len = dout.shape
         w2 = self.params["weight"].reshape(self.out_channels, -1)
 
@@ -115,11 +126,9 @@ class Conv1d(Layer):
 
 
 class BatchNorm1d(Layer):
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5, dtype=np.float32):
+    def __init__(self, channels: int, dtype=np.float32):
         super().__init__()
         self.channels = channels
-        self.momentum = momentum
-        self.eps = eps
         self.params = {
             "gamma": np.ones(channels, dtype=dtype),
             "beta": np.zeros(channels, dtype=dtype),
@@ -135,7 +144,7 @@ class BatchNorm1d(Layer):
         if x.shape[1] != self.channels:
             raise ValueError(f"batchnorm expects {self.channels} channels, got {x.shape[1]}")
         if not train:
-            scale = self.params["gamma"] / np.sqrt(self.running_var + self.eps)
+            scale = self.params["gamma"] / np.sqrt(self.running_var + BN_EPS)
             x *= scale[:, None]
             x += (self.params["beta"] - self.running_mean * scale)[:, None]
             self._cache = None
@@ -143,16 +152,16 @@ class BatchNorm1d(Layer):
         n = x.shape[0] * x.shape[2]
         mean = x.mean(axis=(0, 2))
         var = x.var(axis=(0, 2))
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
         unbiased = var * (n / (n - 1)) if n > 1 else var
-        self.running_mean += self.momentum * (mean - self.running_mean)
-        self.running_var += self.momentum * (unbiased - self.running_var)
+        self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
+        self.running_var += BN_MOMENTUM * (unbiased - self.running_var)
         self._cache = (xhat, inv_std)
         return self.params["gamma"][None, :, None] * xhat + self.params["beta"][None, :, None]
 
     def backward(self, dout):
-        xhat, inv_std = self._cache
+        xhat, inv_std = self._train_cache(self._cache)
         gamma = self.params["gamma"]
         self.grads["gamma"] = (dout * xhat).sum(axis=(0, 2))
         self.grads["beta"] = dout.sum(axis=(0, 2))
@@ -178,7 +187,7 @@ class LeakyReLU(Layer):
         return np.where(neg, x * x.dtype.type(self.slope), x)
 
     def backward(self, dout):
-        return np.where(self._neg, dout * dout.dtype.type(self.slope), dout)
+        return np.where(self._train_cache(self._neg), dout * dout.dtype.type(self.slope), dout)
 
 
 class Dropout(Layer):
@@ -232,7 +241,7 @@ class Linear(Layer):
         return out.reshape(x.shape[:-1] + (self.out_features,))
 
     def backward(self, dout):
-        x2, x_shape = self._cache
+        x2, x_shape = self._train_cache(self._cache)
         d2 = dout.reshape(-1, self.out_features)
         self.grads["weight"] = d2.T @ x2
         self.grads["bias"] = d2.sum(axis=0)

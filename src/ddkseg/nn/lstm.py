@@ -108,7 +108,7 @@ class BiLSTM(Layer):
         return out
 
     def backward(self, dout):
-        x, gates, cells, hidden, tanh_c = self._cache
+        x, gates, cells, hidden, tanh_c = self._train_cache(self._cache)
         batch, t_len, _ = x.shape
         hid = self.hidden_size
         p = self.params

@@ -22,6 +22,8 @@ from .errors import DataError
 OTHER, VOT, VOWEL = 0, 1, 2
 LABEL_NAMES = {OTHER: "other", VOT: "vot", VOWEL: "vowel"}
 LABEL_IDS = {name: idx for idx, name in LABEL_NAMES.items()}
+# Classes the models score per frame: the output layer has one unit each.
+N_CLASSES = len(LABEL_NAMES)
 
 MIN_VOT_MS = 5
 MIN_VOWEL_MS = 20
@@ -139,40 +141,47 @@ def speech_segments(segments: list[Segment]) -> list[Segment]:
     return [s for s in segments if s.label != OTHER]
 
 
-def write_segments_csv(path, segments: list[Segment], include_other: bool = False) -> None:
-    rows = segments if include_other else speech_segments(segments)
+def write_segments_csv(path, segments: list[Segment]) -> None:
+    """Write the VOT and vowel segments; OTHER is implied by the gaps."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SEGMENT_CSV_HEADER)
-        for seg in rows:
+        for seg in speech_segments(segments):
             writer.writerow([seg.onset_ms, seg.offset_ms, seg.name])
+
+
+def read_csv_rows(path, header: list[str]) -> list[tuple[int, list[str]]]:
+    """(line number, row) of every non-blank row after the header of a UTF-8
+    CSV file; DataError if the file is not UTF-8 CSV or its first row is
+    not header."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: not a UTF-8 CSV file ({exc})") from exc
+    if not rows or [h.strip() for h in rows[0]] != header:
+        raise DataError(f"{path}: expected header {','.join(header)}")
+    return [(lineno, row) for lineno, row in enumerate(rows[1:], start=2) if row]
 
 
 def read_segments_csv(path) -> list[Segment]:
     """Load a segment CSV, validating the label vocabulary and ordering."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != SEGMENT_CSV_HEADER:
-            raise DataError(f"{path}: expected header {','.join(SEGMENT_CSV_HEADER)}")
-        segments = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 columns")
-            try:
-                onset, offset = int(row[0]), int(row[1])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-integer boundary") from exc
-            name = row[2].strip().lower()
-            if name not in LABEL_IDS:
-                raise DataError(f"{path}:{lineno}: unknown label {row[2]!r}")
-            try:
-                segments.append(Segment(onset, offset, LABEL_IDS[name]))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
+    segments = []
+    for lineno, row in read_csv_rows(path, SEGMENT_CSV_HEADER):
+        if len(row) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 columns")
+        try:
+            onset, offset = int(row[0]), int(row[1])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: non-integer boundary") from exc
+        name = row[2].strip().lower()
+        if name not in LABEL_IDS:
+            raise DataError(f"{path}:{lineno}: unknown label {row[2]!r}")
+        try:
+            segments.append(Segment(onset, offset, LABEL_IDS[name]))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
     try:
         validate_sequence(segments)
     except ValueError as exc:
@@ -180,7 +189,7 @@ def read_segments_csv(path) -> list[Segment]:
     return segments
 
 
-def write_textgrid(path, segments: list[Segment], total_ms: int, tier_name: str = "segments") -> None:
+def write_textgrid(path, segments: list[Segment], total_ms: int) -> None:
     """Praat-style interval tier export for inspection in annotation tools."""
     total_s = total_ms / 1000.0
     intervals = []
@@ -203,7 +212,7 @@ def write_textgrid(path, segments: list[Segment], total_ms: int, tier_name: str 
         "item []:",
         "    item [1]:",
         '        class = "IntervalTier"',
-        f'        name = "{tier_name}"',
+        '        name = "segments"',
         "        xmin = 0",
         f"        xmax = {total_s:.3f}",
         f"        intervals: size = {len(intervals)}",

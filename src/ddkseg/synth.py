@@ -16,7 +16,7 @@ import numpy as np
 
 from .audio import MODEL_RATE_HZ, SAMPLES_PER_MS, Waveform, read_wav, write_wav
 from .errors import DataError
-from .postproc import OTHER, VOT, VOWEL, Segment, read_segments_csv, write_segments_csv
+from .postproc import OTHER, VOT, VOWEL, Segment, read_csv_rows, read_segments_csv, write_segments_csv
 
 MANIFEST_HEADER = ["trial_id", "wav_path", "labels_path", "split"]
 NOISE_FLOOR_RMS = 0.01  # -40 dBFS
@@ -170,18 +170,11 @@ def load_manifest(manifest_path) -> dict[str, list[Trial]]:
         raise DataError(f"manifest not found: {manifest_path}")
     base = manifest_path.parent
     out: dict[str, list[Trial]] = {"train": [], "val": [], "test": []}
-    with open(manifest_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != MANIFEST_HEADER:
-            raise DataError(f"{manifest_path}: expected header {','.join(MANIFEST_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4 or row[3] not in out:
-                raise DataError(f"{manifest_path}:{lineno}: bad manifest row {row!r}")
-            trial_id, wav_rel, labels_rel, split = row
-            wave = read_wav(base / wav_rel)
-            segments = read_segments_csv(base / labels_rel)
-            out[split].append(Trial(trial_id, wave, segments))
+    for lineno, row in read_csv_rows(manifest_path, MANIFEST_HEADER):
+        if len(row) != 4 or row[3] not in out:
+            raise DataError(f"{manifest_path}:{lineno}: bad manifest row {row!r}")
+        trial_id, wav_rel, labels_rel, split = row
+        wave = read_wav(base / wav_rel)
+        segments = read_segments_csv(base / labels_rel)
+        out[split].append(Trial(trial_id, wave, segments))
     return out

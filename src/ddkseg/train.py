@@ -1,8 +1,10 @@
 """Frame-wise training of the segmenter models.
 
-Each epoch re-augments every trial (one mode drawn per trial), applies a
-random 0-999 sample start shift, cuts disjoint one-second windows, and
-minimizes class-weighted softmax cross-entropy with Adam. The parameters
+Each epoch re-augments every trial (one mode drawn per trial, see
+augment.augment_wave), skips a random 0 to SHIFT_SAMPLES - 1 samples at its
+start, cuts disjoint audio.WINDOW_MS windows (the length inference runs
+on), and minimizes class-weighted softmax cross-entropy with Adam. Class
+weights are inverse frequencies capped at CLASS_WEIGHT_CAP. The parameters
 with the best validation frame accuracy are kept; training stops early
 after `patience` epochs without improvement.
 """
@@ -11,21 +13,23 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .audio import SAMPLES_PER_MS
-from .augment import AugmentSpec, augment_wave
+from .audio import SAMPLES_PER_MS, WINDOW_MS
+from .augment import augment_wave
 from .errors import DataError
 from .models import ModelConfig, Segmenter
-from .postproc import Segment
+from .postproc import N_CLASSES, Segment
 from .synth import Trial
 
 logger = logging.getLogger(__name__)
 
 TRAIN_LOG_HEADER = ["epoch", "train_loss", "val_loss", "val_frame_acc"]
+SHIFT_SAMPLES = 1000
+CLASS_WEIGHT_CAP = 5.0
 
 
 @dataclass(frozen=True)
@@ -36,10 +40,6 @@ class TrainConfig:
     patience: int = 5
     seed: int = 0
     augment: bool = True
-    augment_spec: AugmentSpec = field(default_factory=AugmentSpec)
-    window_ms: int = 1000
-    class_weight_cap: float = 5.0
-    shift_samples: int = 1000  # start offsets drawn from [0, shift_samples)
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -70,53 +70,46 @@ def labels_for_midpoints(segments: list[Segment], midpoints_ms: np.ndarray) -> n
     return labels
 
 
-def class_weights(trials: list[Trial], cap: float) -> np.ndarray:
-    """Inverse-frequency weights over {other, vot, vowel}, capped."""
-    counts = np.zeros(3, dtype=np.float64)
+def class_weights(trials: list[Trial]) -> np.ndarray:
+    """Inverse-frequency weights over {other, vot, vowel}, capped at CLASS_WEIGHT_CAP."""
+    counts = np.zeros(N_CLASSES, dtype=np.float64)
     for trial in trials:
         mids = np.arange(trial.wave.duration_ms) + 0.5
         labels = labels_for_midpoints(trial.segments, mids)
-        counts += np.bincount(labels, minlength=3)
+        counts += np.bincount(labels, minlength=N_CLASSES)
     total = counts.sum()
-    weights = np.where(counts > 0, total / (3.0 * np.maximum(counts, 1.0)), cap)
-    return np.minimum(weights, cap)
+    weights = np.where(counts > 0, total / (N_CLASSES * np.maximum(counts, 1.0)), CLASS_WEIGHT_CAP)
+    return np.minimum(weights, CLASS_WEIGHT_CAP)
 
 
-def _trial_windows(trial: Trial, window_samples: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
-    """Disjoint full windows of the (shifted) trial plus midpoint-rule labels."""
-    samples = trial.wave.samples[shift:]
+def _trial_windows(samples: np.ndarray, segments: list[Segment], shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """The disjoint full WINDOW_MS windows of samples[shift:], plus midpoint-rule labels."""
+    window_samples = WINDOW_MS * SAMPLES_PER_MS
+    samples = samples[shift:]
     n_windows = len(samples) // window_samples
-    if n_windows == 0:
-        return (np.zeros((0, 1, window_samples), dtype=np.float32),
-                np.zeros((0, window_samples // SAMPLES_PER_MS), dtype=np.int64))
-    cropped = samples[:n_windows * window_samples]
-    x = cropped.reshape(n_windows, 1, window_samples).astype(np.float32)
-    frames_per_window = window_samples // SAMPLES_PER_MS
-    shift_ms = shift / SAMPLES_PER_MS
-    mids = shift_ms + np.arange(n_windows * frames_per_window) + 0.5
-    y = labels_for_midpoints(trial.segments, mids).reshape(n_windows, frames_per_window)
-    return x, y
+    x = samples[:n_windows * window_samples].reshape(n_windows, 1, window_samples).astype(np.float32)
+    mids = shift / SAMPLES_PER_MS + np.arange(n_windows * WINDOW_MS) + 0.5
+    return x, labels_for_midpoints(segments, mids).reshape(n_windows, WINDOW_MS)
 
 
 def _epoch_dataset(trials: list[Trial], cfg: TrainConfig,
                    rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
     """Windows for one pass; rng enables augmentation + start shifts."""
-    window_samples = cfg.window_ms * SAMPLES_PER_MS
     xs, ys = [], []
     for trial in trials:
         wave = trial.wave
         shift = 0
         if rng is not None:
             if cfg.augment:
-                wave = augment_wave(wave, rng, cfg.augment_spec)
-            shift = int(rng.integers(cfg.shift_samples))
-        x, y = _trial_windows(Trial(trial.trial_id, wave, trial.segments), window_samples, shift)
-        if len(x):
-            xs.append(x)
-            ys.append(y)
-    if not xs:
+                wave = augment_wave(wave, rng)
+            shift = int(rng.integers(SHIFT_SAMPLES))
+        x, y = _trial_windows(wave.samples, trial.segments, shift)
+        xs.append(x)
+        ys.append(y)
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    if not len(x):
         raise DataError("no usable training windows (are all trials shorter than one window?)")
-    return np.concatenate(xs), np.concatenate(ys)
+    return x, y
 
 
 def _evaluate(model: Segmenter, x: np.ndarray, y: np.ndarray, batch_size: int,
@@ -142,7 +135,7 @@ def train_model(train_trials: list[Trial], val_trials: list[Trial],
 
     model = Segmenter(model_cfg, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)  # augmentation, shifts, shuffling, dropout
-    weights = class_weights(train_trials, cfg.class_weight_cap).astype(np.float64)
+    weights = class_weights(train_trials).astype(np.float64)
     logger.info("class weights (other, vot, vowel): %s", np.round(weights, 3))
 
     val_x, val_y = _epoch_dataset(val_trials, cfg, rng=None)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddkseg.audio import (MODEL_RATE_HZ, Waveform, WindowPlan, cut_windows, read_wav, resample,
-                          stitch_predictions, write_wav)
+from ddkseg import audio
+from ddkseg.audio import MODEL_RATE_HZ, Waveform, cut_windows, read_wav, resample, stitch_predictions, write_wav
 from ddkseg.errors import DataError, InternalError
 
 
@@ -146,23 +146,22 @@ def test_resample_alignment_with_analytic_sine():
     np.testing.assert_allclose(out[200:-200], expected[200:-200], atol=5e-4)
 
 
-def test_window_plan_starts():
-    plan = WindowPlan(window_ms=1000, hop_ms=800)
-    # Starts advance by the hop and stop with the first window reaching the
-    # end of the signal.
-    assert plan.starts(2500) == [0, 800, 1600]
-    assert plan.starts(1000) == [0]
-    assert plan.starts(600) == [0]
-    assert plan.starts(0) == []
-    with pytest.raises(ValueError):
-        WindowPlan(window_ms=1000, hop_ms=1200)
+def test_cut_windows_starts():
+    # 1000 ms windows every 800 ms; starts stop with the first window
+    # reaching the end of the signal.
+    assert (audio.WINDOW_MS, audio.HOP_MS) == (1000, 800)
+    for total, starts in [(2500, [0, 800, 1600]), (1000, [0]), (600, [0]), (0, [])]:
+        assert [s for s, _ in cut_windows(Waveform(np.zeros(total * 16), MODEL_RATE_HZ))] == starts
 
 
 @pytest.mark.parametrize("total,window,hop", [(2500, 1000, 800), (3100, 1000, 1000),
                                               (999, 1000, 500), (5000, 700, 300)])
-def test_cut_windows_cover_signal(total, window, hop):
+def test_cut_windows_cover_signal(monkeypatch, total, window, hop):
+    # The start rule holds for any 0 < hop <= window, not just the constants'.
+    monkeypatch.setattr(audio, "WINDOW_MS", window)
+    monkeypatch.setattr(audio, "HOP_MS", hop)
     wave = Waveform(np.zeros(total * 16), MODEL_RATE_HZ)
-    wins = cut_windows(wave, WindowPlan(window, hop))
+    wins = cut_windows(wave)
     starts = [s for s, _ in wins]
     assert starts[0] == 0
     assert all(b - a == hop for a, b in zip(starts, starts[1:]))
@@ -215,7 +214,7 @@ def test_stitch_probability_rows():
 
 def test_cut_then_stitch_recovers_frame_count(rng):
     wave = Waveform(rng.uniform(-0.5, 0.5, 3457 * 16), MODEL_RATE_HZ)
-    wins = cut_windows(wave, WindowPlan())
+    wins = cut_windows(wave)
     labeled = [(s, np.full(w.duration_ms, 1, dtype=np.int8)) for s, w in wins]
     out = stitch_predictions(labeled, 3457)
     assert len(out) == 3457

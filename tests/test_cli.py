@@ -2,17 +2,20 @@
 2 (data), never 3 (internal error)."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 from conftest import TINY_LSTM
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_models import _four_classes, _rewrite
 
 from ddkseg import cli
 from ddkseg.audio import Waveform, read_wav, write_wav
 from ddkseg.errors import DataError
-from ddkseg.models import Segmenter, save_checkpoint
+from ddkseg.models import ModelConfig, Segmenter, save_checkpoint
+from ddkseg.train import TrainConfig
 
 
 def test_synth_non_numeric_split_is_usage_error(tmp_path, capsys):
@@ -37,6 +40,8 @@ def test_rate_bad_windows_row_is_data_error(tmp_path, capsys, row):
     ({"batch_size": "eight"}, [], "invalid config"),
     ({}, ["--batch-size", "0"], "batch_size must be >= 1"),
     ({"patience": 4}, ["--epochs", "3"], "patience cannot exceed max_epochs"),
+    ({"seed": 3}, [], "set the seed with --seed"),
+    ({"window_ms": 500}, [], "unknown train config keys: ['window_ms']"),
 ])
 def test_train_bad_config_is_usage_error(tmp_path, capsys, train, flags, message):
     config = tmp_path / "config.json"
@@ -55,6 +60,25 @@ def test_train_config_of_wrong_json_shape_is_usage_error(tmp_path, text):
     code = cli.main(["train", "--manifest", str(tmp_path / "missing.csv"), "--out-dir", str(tmp_path / "out"),
                      "--config", str(config)])
     assert code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("model, message", [
+    ({"conv_channels": "abcde"}, "conv_channels must be a list of integers >= 1"),
+    ({"conv_kernels": 5}, "conv_kernels must be a list of integers >= 1"),
+    ({"conv_paddings": [6, 2, 2, 1, -1]}, "conv_paddings must be a list of integers >= 0"),
+    ({"lstm_hidden": "128"}, "lstm_hidden must be an integer >= 0"),
+    ({"fc_hidden": 0}, "fc_hidden must be an integer >= 1"),
+    ({"dropout_p": 1.5}, r"dropout_p must be a number in \[0, 1\)"),
+    ({"leaky_slope": None}, "leaky_slope must be a number"),
+    ({"n_classes": 2}, "n_classes must be 3"),
+])
+def test_train_bad_model_config_is_usage_error(tmp_path, capsys, model, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": model}))
+    code = cli.main(["train", "--manifest", str(tmp_path / "missing.csv"), "--out-dir", str(tmp_path / "out"),
+                     "--config", str(config)])
+    assert code == cli.EXIT_USAGE
+    assert re.search(message, capsys.readouterr().err)
 
 
 @pytest.fixture
@@ -81,6 +105,15 @@ def test_segment_skips_unreadable_input_and_exits_2(tmp_path, capsys, tiny_check
     err = capsys.readouterr().err
     assert "b_bad.wav: not a RIFF/WAVE file" in err
     assert "1 of 3 inputs could not be read" in err
+
+
+def test_segment_with_four_class_checkpoint_exits_2(tmp_path, capsys, tiny_checkpoint):
+    _rewrite(tiny_checkpoint, header_edit=_four_classes)
+    wav = tmp_path / "a.wav"
+    write_wav(wav, Waveform(np.zeros(4000), 16000))
+    code = cli.main(["segment", str(wav), "--checkpoint", str(tiny_checkpoint), "--out-dir", str(tmp_path)])
+    assert code == cli.EXIT_DATA
+    assert "n_classes must be 3" in capsys.readouterr().err
 
 
 def test_segment_all_readable_exits_0(tmp_path, tiny_checkpoint):
@@ -126,3 +159,76 @@ def test_segment_on_arbitrary_bytes_is_data_error_never_internal(tmp_path_factor
         expected = cli.EXIT_DATA
     code = cli.main(["segment", str(wav), "--checkpoint", str(checkpoint), "--out-dir", str(work / "fuzz_out")])
     assert code == expected
+
+
+# Valid up to the "é" of a row below its header, which Latin-1 writes as the
+# lone byte 0xE9: not UTF-8.
+def _latin1(header):
+    return f"{header}\nx.csv,1.0,2.0,café\n".encode("latin-1")
+
+
+@pytest.mark.parametrize("argv, bad, expected", [
+    (["rate", "{bad}", "--out", "{out}"], _latin1("onset_ms,offset_ms,label"), cli.EXIT_DATA),
+    (["eval", "--pred", "{bad}", "--target", "{bad}", "--out", "{out}"], _latin1("onset_ms,offset_ms,label"),
+     cli.EXIT_DATA),
+    (["train", "--manifest", "{bad}", "--out-dir", "{out}"], _latin1("trial_id,wav_path,labels_path,split"),
+     cli.EXIT_DATA),
+    (["rate", "{good}", "--windows", "{bad}", "--out", "{out}"], _latin1("path,start_s,end_s"), cli.EXIT_DATA),
+    (["train", "--manifest", "{missing}", "--out-dir", "{out}", "--config", "{bad}"],
+     '{"train": {"lr": 0.01}} # café'.encode("latin-1"), cli.EXIT_USAGE),
+], ids=["segment-csv-rate", "segment-csv-eval", "manifest", "windows-csv", "config"])
+def test_non_utf8_input_file_exits_1_or_2(tmp_path, capsys, argv, bad, expected):
+    (tmp_path / "bad").write_bytes(bad)
+    (tmp_path / "good.csv").write_text("onset_ms,offset_ms,label\n10,20,vot\n20,80,vowel\n")
+    paths = {"bad": tmp_path / "bad", "good": tmp_path / "good.csv", "out": tmp_path / "out",
+             "missing": tmp_path / "missing.csv"}
+    assert cli.main([a.format(**paths) for a in argv]) == expected
+    assert "codec can't decode byte 0xe9" in capsys.readouterr().err
+
+
+def _with_header(header):
+    return st.one_of(st.binary(max_size=200), st.binary(max_size=200).map(lambda b: header + b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(blob=_with_header(b"onset_ms,offset_ms,label\n"))
+def test_rate_and_eval_on_arbitrary_bytes_never_internal(tmp_path_factory, blob):
+    work = tmp_path_factory.getbasetemp()
+    seg = work / "fuzz_segments.csv"
+    seg.write_bytes(blob)
+    assert cli.main(["rate", str(seg), "--out", str(work / "fuzz_rates.csv")]) in (cli.EXIT_OK, cli.EXIT_DATA)
+    assert cli.main(["eval", "--pred", str(seg), "--target", str(seg),
+                     "--out", str(work / "fuzz_eval.csv")]) in (cli.EXIT_OK, cli.EXIT_DATA)
+
+
+@settings(max_examples=60, deadline=None)
+@given(blob=_with_header(b"trial_id,wav_path,labels_path,split\n"))
+def test_train_on_arbitrary_manifest_bytes_is_data_error(tmp_path_factory, blob):
+    work = tmp_path_factory.getbasetemp()
+    manifest = work / "fuzz_manifest.csv"
+    manifest.write_bytes(blob)
+    code = cli.main(["train", "--manifest", str(manifest), "--out-dir", str(work / "fuzz_train")])
+    assert code == cli.EXIT_DATA
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=12)
+_SECTION_KEYS = sorted({*ModelConfig.__dataclass_fields__, *TrainConfig.__dataclass_fields__, "n_classes"})
+
+
+@settings(max_examples=80, deadline=None)
+@given(blob=st.one_of(
+    st.binary(max_size=200),
+    st.dictionaries(st.sampled_from(["model", "train"]),
+                    st.dictionaries(st.sampled_from(_SECTION_KEYS), _JSON, max_size=4), max_size=2)
+    .map(lambda config: json.dumps(config).encode())))
+def test_train_on_arbitrary_config_bytes_exits_1_or_2(tmp_path_factory, blob):
+    # The manifest is missing, so a config that loads ends in exit 2.
+    work = tmp_path_factory.getbasetemp()
+    config = work / "fuzz_config.json"
+    config.write_bytes(blob)
+    code = cli.main(["train", "--manifest", str(work / "missing.csv"), "--out-dir", str(work / "fuzz_train"),
+                     "--config", str(config)])
+    assert code in (cli.EXIT_USAGE, cli.EXIT_DATA)

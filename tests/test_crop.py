@@ -12,6 +12,7 @@ from test_predict import per_window_reference
 from ddkseg import nn
 from ddkseg.audio import MODEL_RATE_HZ, SAMPLES_PER_MS, Waveform, cut_windows
 from ddkseg.models import ModelConfig, Segmenter, load_checkpoint, predict_file
+from ddkseg.postproc import N_CLASSES
 from ddkseg.synth import TrialSpec, generate_trial
 
 CHECKPOINTS = Path(__file__).resolve().parents[1] / "bench" / "checkpoints"
@@ -45,7 +46,7 @@ def _check_crop(model, x):
     full = model.forward(x)
     for lo, hi in _spans(full.shape[1]):
         kept = model.forward(x, keep=(lo, hi))
-        assert kept.shape == (x.shape[0], hi - lo, model.cfg.n_classes)
+        assert kept.shape == (x.shape[0], hi - lo, N_CLASSES)
         np.testing.assert_allclose(kept, full[:, lo:hi], rtol=0, atol=1e-6)
 
 

@@ -15,7 +15,8 @@ CHECKPOINTS = Path(__file__).resolve().parents[1] / "bench" / "checkpoints"
 
 @pytest.mark.parametrize("name, cfg", [("lstm", ModelConfig.lstm_default()), ("cnn", ModelConfig.cnn_default())])
 def test_committed_checkpoints_load(name, cfg):
-    # Written before frame_rate_ms and allow_custom_shapes were removed.
+    # Written before frame_rate_ms and allow_custom_shapes were removed, and
+    # with n_classes (3) in the config.
     model, meta = load_checkpoint(CHECKPOINTS / f"{name}.npz")
     assert model.cfg == cfg
     assert meta["arch"] == name
@@ -63,6 +64,14 @@ def _unknown_key(h):
     h["config"]["frame_rate_hz"] = 1000
 
 
+def _four_classes(h):
+    h["config"]["n_classes"] = 4
+
+
+def _string_channels(h):
+    h["config"]["conv_channels"] = "abc"
+
+
 def _wrong_shape(arrays):
     key = next(k for k in arrays if k.startswith("param/"))
     arrays[key] = np.zeros(arrays[key].shape + (1,), dtype=arrays[key].dtype)
@@ -71,6 +80,8 @@ def _wrong_shape(arrays):
 @pytest.mark.parametrize("header_edit, array_edit, message", [
     (_bump_version, None, "unsupported checkpoint version 2"),
     (_unknown_key, None, r"unknown model config keys: \['frame_rate_hz'\]"),
+    (_four_classes, None, "n_classes must be 3, one per label: other, vot, vowel"),
+    (_string_channels, None, "conv_channels must be a list of integers"),
     (None, _wrong_shape, "shape mismatch for param/"),
     (None, lambda a: a.pop("state/conv.1.running_mean"), "checkpoint keys do not match architecture"),
 ])

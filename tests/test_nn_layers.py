@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ddkseg import nn
+from ddkseg.nn.layers import BN_EPS
 
 
 def conv1d_oracle(x, weight, bias, stride, padding, dilation):
@@ -222,7 +223,7 @@ def _held(layer):
 
 
 def _running_moments_norm(bn, x):
-    inv_std = 1.0 / np.sqrt(bn.running_var + bn.eps)
+    inv_std = 1.0 / np.sqrt(bn.running_var + BN_EPS)
     xhat = (x - bn.running_mean[:, None]) * inv_std[:, None]
     return xhat * bn.params["gamma"][:, None] + bn.params["beta"][:, None]
 
@@ -247,3 +248,22 @@ def test_cache_free_eval_matches_cached_eval(rng, make, shape, reference):
     fresh = layer.forward(x.copy())  # may overwrite its input
     np.testing.assert_allclose(fresh, expected, rtol=1e-13, atol=1e-14)
     assert not _held(layer), f"{type(layer).__name__} kept {sorted(_held(layer))} in eval mode"
+
+
+@pytest.mark.parametrize("make, shape", [
+    (lambda rng: nn.Conv1d(2, 3, 5, stride=2, padding=2, rng=rng, dtype=np.float64), (2, 2, 11)),
+    (_batchnorm_with_stats, (2, 3, 9)),
+    (lambda rng: nn.LeakyReLU(0.01), (2, 3, 9)),
+    (lambda rng: nn.Linear(4, 3, rng=rng, dtype=np.float64), (2, 5, 4)),
+    (lambda rng: nn.BiLSTM(4, 3, rng=rng, dtype=np.float64), (2, 5, 4)),
+], ids=["conv", "batchnorm", "leaky_relu", "linear", "bilstm"])
+def test_backward_after_eval_forward_raises(rng, make, shape):
+    """The eval forward drops the training forward's cache, so backward has
+    nothing to differentiate: it raises instead of returning a gradient."""
+    layer = make(rng)
+    x = rng.standard_normal(shape)
+    out = layer.forward(x.copy(), train=True, rng=np.random.default_rng(0))
+    layer.backward(np.ones_like(out))
+    layer.forward(x.copy())
+    with pytest.raises(ValueError, match=r"backward needs a forward\(\.\.\., train=True\) first"):
+        layer.backward(np.ones_like(out))

@@ -147,11 +147,9 @@ def test_postprocess_invariants(rng):
 def test_segment_csv_roundtrip(tmp_path):
     segments = [seg(0, 120, OTHER), seg(120, 160, VOT), seg(160, 300, VOWEL)]
     path = tmp_path / "segs.csv"
-    write_segments_csv(path, segments, include_other=True)
-    assert read_segments_csv(path) == segments
-    # default export keeps speech segments only
+    # the export keeps speech segments only, and reads back exactly
     write_segments_csv(path, segments)
-    assert read_segments_csv(path) == speech_segments(segments)
+    assert read_segments_csv(path) == speech_segments(segments) == segments[1:]
 
 
 def test_segment_csv_rejects_bad_label(tmp_path):

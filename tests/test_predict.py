@@ -10,6 +10,7 @@ from conftest import TINY_CNN, TINY_LSTM
 
 from ddkseg.audio import MODEL_RATE_HZ, SAMPLES_PER_MS, Waveform, cut_windows, resample, stitch_predictions
 from ddkseg.models import Segmenter, load_checkpoint, predict_file, predict_window
+from ddkseg.postproc import N_CLASSES
 from ddkseg.synth import TrialSpec, generate_trial
 
 CHECKPOINTS = Path(__file__).resolve().parents[1] / "bench" / "checkpoints"
@@ -21,7 +22,7 @@ def per_window_reference(model, wave):
     covered_ms = len(wave16.samples) // SAMPLES_PER_MS
     windows = cut_windows(wave16)
     if not windows:
-        return np.zeros(0, dtype=np.int8), np.zeros((0, model.cfg.n_classes), dtype=np.float32), False
+        return np.zeros(0, dtype=np.int8), np.zeros((0, N_CLASSES), dtype=np.float32), False
     preds = [(start, predict_window(model, w)) for start, w in windows]
     probs = stitch_predictions([(start, p.probs) for start, p in preds], covered_ms)
     if wave16.duration_ms > covered_ms:
@@ -105,3 +106,10 @@ def test_predict_file_leaves_no_backward_cache(cfg):
     held = [(type(layer).__name__, k) for layer in layers
             for k, v in vars(layer).items() if k.startswith("_") and v is not None]
     assert not held, f"caches left after predict_file: {held}"
+
+
+def test_backward_after_predict_file_raises():
+    model = Segmenter(TINY_LSTM, seed=2)
+    predict_file(model, Waveform(np.zeros(1600), MODEL_RATE_HZ))
+    with pytest.raises(ValueError, match=r"train=True"):
+        model.backward(np.zeros((1, 100, N_CLASSES), dtype=np.float32))

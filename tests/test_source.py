@@ -41,3 +41,26 @@ def test_no_environment_reads():
                 reads += [f"{path.relative_to(SRC)}:{node.lineno}: from os import {alias.name}"
                           for alias in node.names if alias.name in names]
     assert not reads, "environment reads:\n" + "\n".join(reads)
+
+
+def test_every_config_field_is_read():
+    # A field that only its own class reads configures nothing: delete it
+    # (or turn it into a constant) rather than keep a setting without effect.
+    # Reads are matched by attribute name, whatever object they are made on.
+    classes = {"ModelConfig": "models.py", "TrainConfig": "train.py"}
+    fields, inside = {}, {}
+    for name, module in classes.items():
+        tree = ast.parse((SRC / module).read_text())
+        cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name)
+        fields[name] = {n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)}
+        inside[name] = (module, cls.lineno, cls.end_lineno)
+    assert all(fields.values()), fields
+    read = set()
+    for path in sorted(SRC.rglob("*.py")):
+        rel = str(path.relative_to(SRC))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read |= {(cls, node.attr) for cls, (module, lo, hi) in inside.items()
+                         if not (rel == module and lo <= node.lineno <= hi)}
+    unread = sorted(f"{cls}.{f}" for cls, names in fields.items() for f in names if (cls, f) not in read)
+    assert not unread, "config fields read nowhere outside their class: " + ", ".join(unread)
