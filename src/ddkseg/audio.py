@@ -65,7 +65,7 @@ def read_wav(path) -> Waveform:
     sub-format. A data chunk whose size is 0xFFFFFFFF (a streamed file)
     runs to the end of the file; a trailing partial frame is dropped.
     """
-    data = Path(path).read_bytes()
+    data = memoryview(Path(path).read_bytes())  # chunks are sliced without copies
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise DataError(f"{path}: not a RIFF/WAVE file")
 
@@ -105,9 +105,8 @@ def read_wav(path) -> Waveform:
         raise DataError(f"{path}: block align {block_align} does not match {channels} channel(s) of 16 bits")
 
     raw = np.frombuffer(payload[:len(payload) - len(payload) % (2 * channels)], dtype="<i2")
-    if channels == 2:
-        raw = raw.reshape(-1, 2).mean(axis=1)
-    samples = np.asarray(raw, dtype=np.float64) / 32768.0
+    samples = raw.reshape(-1, 2).mean(axis=1) if channels == 2 else raw.astype(np.float64)
+    samples /= 32768.0
     return Waveform(samples, int(sample_rate))
 
 
@@ -142,7 +141,8 @@ def cut_windows(wave: Waveform) -> list[tuple[int, Waveform]]:
 
     Starts advance by HOP_MS until a window reaches the end of the signal,
     so the windows cover it whole (a signal no longer than WINDOW_MS gets
-    one window). The last window may be shorter than WINDOW_MS.
+    one window). The last window may be shorter than WINDOW_MS. Each
+    window's samples are a view of wave's, not a copy.
     """
     if wave.sample_rate_hz != MODEL_RATE_HZ:
         raise ValueError(f"cut_windows expects {MODEL_RATE_HZ} Hz audio, got {wave.sample_rate_hz}")
@@ -154,7 +154,7 @@ def cut_windows(wave: Waveform) -> list[tuple[int, Waveform]]:
     for start_ms in starts:
         lo = start_ms * SAMPLES_PER_MS
         hi = min((start_ms + WINDOW_MS) * SAMPLES_PER_MS, len(wave.samples))
-        out.append((start_ms, Waveform(wave.samples[lo:hi].copy(), MODEL_RATE_HZ)))
+        out.append((start_ms, Waveform(wave.samples[lo:hi], MODEL_RATE_HZ)))
     return out
 
 

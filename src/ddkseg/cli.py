@@ -305,7 +305,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"ddkseg: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"ddkseg: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - safety net

@@ -15,6 +15,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 FIR_BETA = 6.0
 RESAMPLE_BETA = 8.6
 TAPS_PER_PHASE = 64
+# Outputs resample_kaiser computes from one zero-padded stretch of input.
+RESAMPLE_BLOCK = 32768
 
 
 def lowpass_fir(num_taps: int, cutoff_hz: float, sample_rate_hz: float) -> np.ndarray:
@@ -75,6 +77,9 @@ def resample_kaiser(x: np.ndarray, source_hz: int, target_hz: int) -> np.ndarray
     samples apart, so each phase is one matrix-vector product of a strided
     view of the zero-padded input (TAPS_PER_PHASE + 1 samples a row) with
     that phase's reversed taps. Nothing is gathered or copied per output.
+    The outputs go in blocks of about RESAMPLE_BLOCK, whole filter periods
+    of up outputs each, and each block pads a copy of only the input it
+    reads, so the whole signal is never copied.
     """
     if source_hz <= 0 or target_hz <= 0:
         raise ValueError("sample rates must be positive")
@@ -106,12 +111,22 @@ def resample_kaiser(x: np.ndarray, source_hz: int, target_hz: int) -> np.ndarray
 
     # y[n] = sum_t h[p + t*up] * x[q - t] where p, q locate the (delay
     # compensated) position n*down + center on the upsampled grid: the row
-    # of x ending at q, that is xp[q + 1 : q + 1 + row] with the padding.
-    xp = np.concatenate([np.zeros(row), x, np.zeros(row)])
-    rows = sliding_window_view(xp, row)
+    # of x ending at q, that is xp[q + 1 : q + 1 + row] of the input padded
+    # with row zeros at each end. A block starting at output `first` (a
+    # multiple of up) has its q shifted by first // up * down.
     y = np.empty(n_out, dtype=np.float64)
-    for n in range(min(up, n_out)):
-        q, p = divmod(n * down + center, up)
-        out = y[n::up]
-        out[...] = rows[q + 1::down][:len(out)] @ taps[p]
+    step = up * max(1, RESAMPLE_BLOCK // up)
+    for first in range(0, n_out, step):
+        block = y[first:first + step]
+        start = first // up * down
+        stop = start + ((len(block) - 1) * down + center) // up + 1 + row
+        xp = np.zeros(stop - start)  # xp[start:stop] of the padded input
+        lo, hi = max(start, row), min(stop, row + len(x))
+        if lo < hi:
+            xp[lo - start:hi - start] = x[lo - row:hi - row]
+        rows = sliding_window_view(xp, row)
+        for n in range(min(up, len(block))):
+            q, p = divmod(n * down + center, up)
+            out = block[n::up]
+            out[...] = rows[q + 1::down][:len(out)] @ taps[p]
     return y

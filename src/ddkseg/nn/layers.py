@@ -1,9 +1,13 @@
 """Feed-forward layers: conv1d, batchnorm, leaky ReLU, dropout, linear.
 
 Every layer keeps its trainable arrays in self.params (name -> ndarray) and
-fills self.grads with matching shapes during backward(). Convolution runs
-as a tap-sliced im2col followed by one batched GEMM, which is where nearly
-all training time goes.
+fills self.grads with matching shapes during backward(). A training conv,
+and an eval conv with stride > 1 (the small bottom of each model's stack),
+runs as a tap-sliced im2col followed by one batched GEMM, which is where
+nearly all training time goes; backward reads the columns. An eval conv
+with stride 1 builds no columns: it sums one GEMM per tap, that tap's
+weights times the padded input shifted by tap * dilation, so its memory
+is the output's, not kernel times the input's.
 
 Cache contract: forward(x, train=True) is the training path and keeps
 what backward() needs (conv columns, batchnorm's normalized input, the
@@ -95,6 +99,9 @@ class Conv1d(Layer):
             xp[:, :, :left] = 0
             xp[:, :, left:left + length] = x
             xp[:, :, left + length:] = 0
+        if not train and self.stride == 1:
+            self._cache = None
+            return self._tap_gemms(xp, out_len)
         span = (out_len - 1) * self.stride + 1
         cols = np.empty((batch, self.in_channels, self.kernel, out_len), dtype=x.dtype)
         for tap in range(self.kernel):
@@ -105,6 +112,19 @@ class Conv1d(Layer):
         out = np.matmul(w2, cols2)
         out += self.params["bias"][None, :, None]
         self._cache = (cols2, xp.shape, left, length) if train else None
+        return out
+
+    def _tap_gemms(self, xp, out_len):
+        """Stride-1 output as one GEMM per tap: weight[:, :, tap] times the
+        padded input shifted by tap * dilation, summed, with no columns built."""
+        taps = self.params["weight"].transpose(2, 0, 1).copy()  # (kernel, out, in), each tap contiguous
+        out = np.matmul(taps[0], xp[:, :, :out_len])
+        if self.kernel > 1:
+            term = np.empty_like(out)
+            for tap in range(1, self.kernel):
+                lo = tap * self.dilation
+                out += np.matmul(taps[tap], xp[:, :, lo:lo + out_len], out=term)
+        out += self.params["bias"][None, :, None]
         return out
 
     def backward(self, dout):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,15 @@ class TrainConfig:
     augment: bool = True
 
     def __post_init__(self):
+        for name in ("batch_size", "max_epochs", "patience", "seed"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not (type(self.lr) in (int, float) and 0 < self.lr < math.inf):
+            raise ValueError(f"lr must be a positive number, got {self.lr!r}")
+        if type(self.augment) is not bool:
+            raise ValueError(f"augment must be true or false, got {self.augment!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.patience > self.max_epochs:

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -27,3 +29,11 @@ SMALL_LSTM = ModelConfig(
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test that leaves a thread other than the main one running."""
+    yield
+    left = [t for t in threading.enumerate() if t is not threading.main_thread()]
+    assert not left, f"threads left running: {left}"

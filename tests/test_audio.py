@@ -1,4 +1,5 @@
 import struct
+import wave as stdlib_wave
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddkseg import audio
-from ddkseg.audio import MODEL_RATE_HZ, Waveform, cut_windows, read_wav, resample, stitch_predictions, write_wav
+from ddkseg.audio import (MODEL_RATE_HZ, Waveform, cut_windows, frame_owners, read_wav, resample, stitch_predictions,
+                          write_wav)
 from ddkseg.errors import DataError, InternalError
 
 
@@ -44,6 +46,19 @@ def test_read_wav_stereo_average(tmp_path):
     path.write_bytes(make_wav_bytes(np.array([1000, 3000], dtype="<i2").tobytes(), channels=2))
     wave = read_wav(path)
     np.testing.assert_array_equal(wave.samples, [2000 / 32768.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(ints=st.lists(st.integers(-32768, 32767), max_size=41), channels=st.sampled_from([1, 2]))
+def test_read_wav_matches_stdlib_reader(tmp_path_factory, ints, channels):
+    path = tmp_path_factory.getbasetemp() / "stdlib.wav"
+    path.write_bytes(make_wav_bytes(np.array(ints, dtype="<i2").tobytes(), channels=channels))
+    with stdlib_wave.open(str(path)) as fh:
+        frames = np.frombuffer(fh.readframes(fh.getnframes()), dtype="<i2").reshape(-1, channels)
+    want = frames.mean(axis=1) / 32768.0  # exact: int16 sums and halves, over a power of two
+    got = read_wav(path).samples
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, want)
 
 
 def test_read_wav_rejects_8bit(tmp_path):
@@ -172,8 +187,44 @@ def test_cut_windows_cover_signal(monkeypatch, total, window, hop):
     assert starts[-1] + wins[-1][1].duration_ms == total
 
 
+def test_cut_windows_are_views():
+    wave = Waveform(np.linspace(-0.5, 0.5, 2500 * 16), MODEL_RATE_HZ)
+    for start, w in cut_windows(wave):
+        lo = start * 16
+        assert np.shares_memory(w.samples, wave.samples)
+        np.testing.assert_array_equal(w.samples, wave.samples[lo:lo + len(w)])
+
+
 def test_cut_windows_empty():
     assert cut_windows(Waveform(np.zeros(0), MODEL_RATE_HZ)) == []
+
+
+@st.composite
+def _covering_windows(draw):
+    """(total_ms, [(start, frames)]) in random order: a chain of windows,
+    each starting at or before the frame the previous ones reach, covers
+    [0, total_ms); extra windows land anywhere, and any may run past the end."""
+    total = draw(st.integers(1, 400))
+    windows, reached = [], 0
+    while reached < total:
+        start = draw(st.integers(max(0, reached - 60), reached))
+        frames = draw(st.integers(reached - start + 1, reached - start + 250))
+        windows.append((start, frames))
+        reached = start + frames
+    windows += draw(st.lists(st.tuples(st.integers(0, total - 1), st.integers(1, 250)), max_size=3))
+    return total, draw(st.permutations(windows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_covering_windows())
+def test_stitch_takes_every_row_from_its_owner(case):
+    total, windows = case
+    # Row k of window i reads (i, start + k), so each output row names its source.
+    arrays = [(start, np.stack([np.full(n, i), start + np.arange(n)], axis=1)) for i, (start, n) in enumerate(windows)]
+    out = stitch_predictions(arrays, total)
+    owner = frame_owners(windows, total)
+    assert (owner >= 0).all()
+    np.testing.assert_array_equal(out, np.stack([owner, np.arange(total)], axis=1))
 
 
 def test_stitch_identity_single_window():

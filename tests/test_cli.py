@@ -42,6 +42,12 @@ def test_rate_bad_windows_row_is_data_error(tmp_path, capsys, row):
     ({"patience": 4}, ["--epochs", "3"], "patience cannot exceed max_epochs"),
     ({"seed": 3}, [], "set the seed with --seed"),
     ({"window_ms": 500}, [], "unknown train config keys: ['window_ms']"),
+    ({"lr": "fast"}, [], "lr must be a positive number, got 'fast'"),
+    ({"lr": 0}, [], "lr must be a positive number, got 0"),
+    ({"max_epochs": 3.5, "patience": 2}, [], "max_epochs must be an integer, got 3.5"),
+    ({"patience": True}, [], "patience must be an integer, got True"),
+    ({"augment": "yes"}, [], "augment must be true or false, got 'yes'"),
+    ({}, ["--seed", "-1"], "seed must be >= 0"),
 ])
 def test_train_bad_config_is_usage_error(tmp_path, capsys, train, flags, message):
     config = tmp_path / "config.json"
@@ -79,6 +85,22 @@ def test_train_bad_model_config_is_usage_error(tmp_path, capsys, model, message)
                      "--config", str(config)])
     assert code == cli.EXIT_USAGE
     assert re.search(message, capsys.readouterr().err)
+
+
+def test_rate_on_a_directory_is_data_error(tmp_path, capsys):
+    code = cli.main(["rate", str(tmp_path), "--out", str(tmp_path / "r.csv")])
+    assert code == cli.EXIT_DATA
+    assert "Is a directory" in capsys.readouterr().err
+
+
+def test_manifest_row_with_empty_wav_path_is_data_error(tmp_path, capsys):
+    labels = tmp_path / "t.csv"
+    labels.write_text("onset_ms,offset_ms,label\n0,40,vot\n")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"trial_id,wav_path,labels_path,split\nt,,{labels.name},train\nt,,{labels.name},val\n")
+    code = cli.main(["train", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_DATA
+    assert "Is a directory" in capsys.readouterr().err
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import pytest
 from resample_reference import resample_kaiser_reference
 
 from ddkseg.audio import Waveform
+from ddkseg import dsp
 from ddkseg.augment import NOTCH_TAPS, band_reject
 from ddkseg.dsp import resample_kaiser
 
@@ -20,6 +21,17 @@ def test_resample_matches_gather_reference(source, target, n):
     y = resample_kaiser(x, source, target)
     assert len(y) == round(n * target / source)
     np.testing.assert_allclose(y, resample_kaiser_reference(x, source, target), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("source, target", [(44100, 16000), (8000, 16000), (16000, 44100)])
+@pytest.mark.parametrize("block", [1, 161, 1000])
+def test_resample_blocks_do_not_change_the_output(monkeypatch, source, target, block):
+    # Blocks shorter than one filter period, a period and a bit, and several periods.
+    x = np.random.default_rng(block).uniform(-1.0, 1.0, 5 * source // 3 + 11)
+    monkeypatch.setattr(dsp, "RESAMPLE_BLOCK", len(x) * 10)
+    whole = resample_kaiser(x, source, target)
+    monkeypatch.setattr(dsp, "RESAMPLE_BLOCK", block)
+    np.testing.assert_array_equal(resample_kaiser(x, source, target), whole)
 
 
 def _gain_db(freq_hz, low_hz, high_hz, rate=16000):

@@ -72,6 +72,10 @@ def _string_channels(h):
     h["config"]["conv_channels"] = "abc"
 
 
+def _config_not_object(h):
+    h["config"] = "lstm"
+
+
 def _wrong_shape(arrays):
     key = next(k for k in arrays if k.startswith("param/"))
     arrays[key] = np.zeros(arrays[key].shape + (1,), dtype=arrays[key].dtype)
@@ -82,6 +86,7 @@ def _wrong_shape(arrays):
     (_unknown_key, None, r"unknown model config keys: \['frame_rate_hz'\]"),
     (_four_classes, None, "n_classes must be 3, one per label: other, vot, vowel"),
     (_string_channels, None, "conv_channels must be a list of integers"),
+    (_config_not_object, None, "checkpoint header holds no config object"),
     (None, _wrong_shape, "shape mismatch for param/"),
     (None, lambda a: a.pop("state/conv.1.running_mean"), "checkpoint keys do not match architecture"),
 ])

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,36 @@ def test_conv_matches_oracle_small_shapes(rng):
         np.testing.assert_allclose(conv.forward(x), ref, atol=1e-12)
         cases += 1
     assert cases > 300
+
+
+@pytest.mark.parametrize("dilation", [1, 2, 4, 8, 16, 32])
+@pytest.mark.parametrize("kernel, pad", [(3, None), (3, (0, 0)), (3, (5, 0)), (5, (0, 7)), (1, (2, 3))])
+@pytest.mark.parametrize("batch", [1, 4])
+def test_eval_stride1_conv_matches_training_im2col(rng, dilation, kernel, pad, batch):
+    # float32, as inference runs: the per-tap sums round differently from
+    # the one GEMM over all taps, by far less than 1e-5 of the output scale.
+    conv = nn.Conv1d(16, 24, kernel, padding=dilation, dilation=dilation, rng=rng)
+    conv.params["bias"][:] = rng.standard_normal(24)
+    x = rng.standard_normal((batch, 16, 150)).astype(np.float32)
+    before = x.copy()
+    want = conv.forward(x, train=True, pad=pad)
+    got = conv.forward(x, pad=pad)
+    assert got.shape == want.shape and got.dtype == np.float32
+    assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+    np.testing.assert_array_equal(x, before)
+
+
+def test_eval_stride1_conv_builds_no_im2col_buffer(rng):
+    conv = nn.Conv1d(128, 32, 5, padding=2, rng=rng)
+    x = rng.standard_normal((1, 128, 2000)).astype(np.float32)
+    cols_bytes = 128 * 5 * 2000 * 4  # the im2col buffer of this call
+    tracemalloc.start()
+    try:
+        conv.forward(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < cols_bytes / 2
 
 
 def test_conv_shape_error():

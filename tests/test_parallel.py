@@ -1,0 +1,150 @@
+"""predict_file shares a CNN file's full windows between the calling thread
+and one helper thread per further usable CPU: the output does not depend
+on the CPU count, an error in any thread reaches the caller, no thread
+outlives the call, and no input samples are written."""
+
+import os
+import sys
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from ddkseg import models
+from ddkseg.audio import MODEL_RATE_HZ, SAMPLES_PER_MS, Waveform, cut_windows
+from ddkseg.models import Segmenter, load_checkpoint, predict_file
+from ddkseg.synth import TrialSpec, generate_trial
+
+CHECKPOINTS = Path(__file__).resolve().parents[1] / "bench" / "checkpoints"
+
+
+@pytest.fixture(scope="module")
+def cnn_model():
+    return load_checkpoint(CHECKPOINTS / "cnn.npz")[0]
+
+
+@pytest.fixture(scope="module")
+def trial():
+    wave, _ = generate_trial(TrialSpec(syllable_count=45, seed=4))
+    assert wave.duration_ms >= 11_000
+    return wave.samples
+
+
+def _wave(trial, full, tail):
+    # Windows are 1000 ms every 800 ms: 800k + 200 ms holds k full windows
+    # and nothing else, 800k + 600 ms k full windows and a 400 ms tail.
+    duration_ms = 800 * full + (600 if tail else 200)
+    wave = Waveform(trial[:duration_ms * SAMPLES_PER_MS], MODEL_RATE_HZ)
+    assert len(cut_windows(wave)) == full + tail
+    return wave
+
+
+def _set_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.mark.parametrize("full", [1, 2, 5, 13])
+@pytest.mark.parametrize("tail", [False, True])
+def test_threaded_predict_file_is_bit_identical_to_one_thread(monkeypatch, cnn_model, trial, full, tail):
+    wave = _wave(trial, full, tail)
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    preds = {}
+    for cpus in (1, 2, 3):
+        _set_cpus(monkeypatch, cpus)
+        started.clear()
+        preds[cpus] = predict_file(cnn_model, wave)
+        assert len(started) == min(cpus, full) - 1
+    for cpus in (2, 3):
+        np.testing.assert_array_equal(preds[cpus].probs, preds[1].probs)
+        np.testing.assert_array_equal(preds[cpus].labels, preds[1].labels)
+
+
+def test_every_item_runs_once_under_frequent_thread_switches(monkeypatch):
+    # Six threads switching as often as the interpreter allows: an item
+    # taken twice or skipped shows in `calls`.
+    _set_cpus(monkeypatch, 6)
+    calls = []
+
+    def work(i):
+        calls.append(i)
+        time.sleep(0)
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = models._run_on_cpus(work, 500)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [i * i for i in range(500)]
+    assert sorted(calls) == list(range(500))
+
+
+def test_cpu_count_where_affinity_is_unknown(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert models._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert models._usable_cpus() == 1
+
+
+@pytest.mark.parametrize("failing", ["helper", "caller"])
+def test_error_in_any_thread_reaches_the_caller(monkeypatch, cnn_model, trial, failing):
+    _set_cpus(monkeypatch, 3)
+    original = Segmenter.forward
+    helper_started = threading.Event()
+
+    def forward(self, x, *args, **kwargs):
+        # The caller waits until a helper holds a window, so both kinds of
+        # thread are sure to run a forward.
+        if threading.current_thread() is threading.main_thread():
+            assert helper_started.wait(timeout=30)
+            if failing == "caller":
+                raise RuntimeError("caller's forward failed")
+        else:
+            helper_started.set()
+            if failing == "helper":
+                raise RuntimeError("helper's forward failed")
+        return original(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(Segmenter, "forward", forward)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{failing}'s forward failed"):
+        predict_file(cnn_model, _wave(trial, 5, True))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("name", ["lstm", "cnn"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [MODEL_RATE_HZ, 44100])
+def test_predict_file_writes_no_samples(monkeypatch, trial, name, dtype, rate):
+    # The windows are views of the model-rate samples, and a float64 model
+    # reads them without a copy, so any layer writing into its input would
+    # show here.
+    stored, _ = load_checkpoint(CHECKPOINTS / f"{name}.npz")
+    model = Segmenter(stored.cfg, dtype=dtype)
+    model.restore(stored.snapshot())
+    resampled = []
+    original = models.resample
+
+    def resample(wave, target_hz):
+        out = original(wave, target_hz)
+        resampled.append((out, out.samples.copy()))
+        return out
+
+    monkeypatch.setattr(models, "resample", resample)
+    wave = Waveform(trial[:2600 * SAMPLES_PER_MS], rate)
+    before = wave.samples.copy()
+    predict_file(model, wave)
+    np.testing.assert_array_equal(wave.samples, before)
+    (wave16, before16), = resampled
+    np.testing.assert_array_equal(wave16.samples, before16)

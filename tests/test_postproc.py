@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddkseg.errors import DataError
 from ddkseg.postproc import (MAX_VOT_GAP_MS, MIN_VOT_MS, MIN_VOWEL_MS, OTHER, VOT, VOWEL, Segment,
@@ -125,23 +127,30 @@ def test_postprocess_idempotent(rng):
         assert once == again
 
 
-def test_postprocess_invariants(rng):
-    for _ in range(300):
-        frames = rng.integers(0, 3, size=int(rng.integers(1, 400)))
-        segments = postprocess(frames)
-        assert segments[0].onset_ms == 0
-        assert segments[-1].offset_ms == len(frames)
-        for a, b in zip(segments, segments[1:]):
-            assert a.offset_ms == b.onset_ms
-            assert a.label != b.label
-        for s in segments:
-            if s.label == VOT:
-                assert s.duration_ms >= MIN_VOT_MS
-            if s.label == VOWEL:
-                assert s.duration_ms >= MIN_VOWEL_MS
-        for a, b, c in zip(segments, segments[1:], segments[2:]):
-            assert not (a.label == VOT and c.label == VOT and b.label == OTHER
-                        and b.duration_ms < MAX_VOT_GAP_MS)
+# Frame sequences as runs of one label, with lengths around the rules'
+# thresholds (5, 20 and 20 ms), the way model output comes.
+_RUNS = st.lists(st.tuples(st.sampled_from([OTHER, VOT, VOWEL]), st.integers(1, 45)), min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(runs=_RUNS)
+def test_postprocess_invariants(runs):
+    frames = np.repeat([label for label, _ in runs], [n for _, n in runs])
+    segments = postprocess(frames)
+    # Ordered, non-overlapping and tiling the input, with maximal runs.
+    assert segments[0].onset_ms == 0
+    assert segments[-1].offset_ms == len(frames)
+    for a, b in zip(segments, segments[1:]):
+        assert a.offset_ms == b.onset_ms
+        assert a.label != b.label
+    for s in segments:
+        if s.label == VOT:
+            assert s.duration_ms >= MIN_VOT_MS
+        if s.label == VOWEL:
+            assert s.duration_ms >= MIN_VOWEL_MS
+    for a, b, c in zip(segments, segments[1:], segments[2:]):
+        assert not (a.label == VOT and c.label == VOT and b.label == OTHER
+                    and b.duration_ms < MAX_VOT_GAP_MS)
 
 
 def test_segment_csv_roundtrip(tmp_path):

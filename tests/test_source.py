@@ -64,3 +64,22 @@ def test_every_config_field_is_read():
                          if not (rel == module and lo <= node.lineno <= hi)}
     unread = sorted(f"{cls}.{f}" for cls, names in fields.items() for f in names if (cls, f) not in read)
     assert not unread, "config fields read nowhere outside their class: " + ", ".join(unread)
+
+
+def test_no_process_or_executor_pools():
+    # Work done in a child process hides its memory from a RUSAGE_SELF peak
+    # (the benchmark's peak_rss_mb), and concurrent.futures costs import time
+    # that plain threading.Thread does not.
+    banned = ("concurrent.futures", "multiprocessing")
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.relative_to(SRC)}:{node.lineno}: {m}" for m in modules
+                      if any(m == b or m.startswith(b + ".") for b in banned)]
+    assert not found, "banned imports:\n" + "\n".join(found)
