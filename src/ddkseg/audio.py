@@ -125,11 +125,12 @@ def write_wav(path, wave: Waveform) -> None:
 
 
 def resample(wave: Waveform, target_hz: int) -> Waveform:
-    """Resample with the Kaiser-windowed sinc polyphase filter (identity when rates match)."""
+    """Resample with the Kaiser-windowed sinc polyphase filter. When the
+    rates already match, wave itself is returned, not a copy."""
     if target_hz <= 0:
         raise ValueError(f"target_hz must be positive, got {target_hz}")
     if wave.sample_rate_hz == target_hz:
-        return Waveform(wave.samples.copy(), target_hz)
+        return wave
     y = resample_kaiser(wave.samples, wave.sample_rate_hz, target_hz)
     # Sinc ringing can overshoot full scale slightly; keep the invariant.
     np.clip(y, -1.0, MAX_AMPLITUDE, out=y)

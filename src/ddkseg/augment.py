@@ -60,11 +60,9 @@ def band_reject(wave: Waveform, low_hz: float, high_hz: float) -> Waveform:
     return Waveform(filtered, wave.sample_rate_hz)
 
 
-def synth_noise(kind: str, duration_s: float, seed: int, sample_rate_hz: int = 16000) -> Waveform:
-    """Deterministic noise generator; 'broadband-lowpass' approximates
-    HVAC / engine rumble (white noise lowpassed at 500 Hz, RMS 0.1)."""
-    if kind != "broadband-lowpass":
-        raise ValueError(f"unknown noise kind {kind!r}")
+def synth_noise(duration_s: float, seed: int, sample_rate_hz: int = 16000) -> Waveform:
+    """Deterministic broadband-lowpass noise that approximates HVAC / engine
+    rumble: white noise lowpassed at 500 Hz, at RMS 0.1."""
     if duration_s <= 0:
         raise ValueError("duration must be positive")
     rng = np.random.default_rng(seed)
@@ -91,6 +89,6 @@ def augment_wave(wave: Waveform, rng: np.random.Generator) -> Waveform:
         low = max(50.0, center - width / 2.0)
         high = min(nyquist - 50.0, center + width / 2.0)
         return band_reject(wave, low, high)
-    noise = synth_noise("broadband-lowpass", len(wave) / wave.sample_rate_hz + 1e-9,
+    noise = synth_noise(len(wave) / wave.sample_rate_hz + 1e-9,
                         seed=int(rng.integers(2 ** 63)), sample_rate_hz=wave.sample_rate_hz)
     return mix_noise(wave, noise, mode)

@@ -4,16 +4,21 @@ Every layer keeps its trainable arrays in self.params (name -> ndarray) and
 fills self.grads with matching shapes during backward(). A training conv,
 and an eval conv with stride > 1 (the small bottom of each model's stack),
 runs as a tap-sliced im2col followed by one batched GEMM, which is where
-nearly all training time goes; backward reads the columns. An eval conv
+nearly all training time goes; backward rebuilds the columns from the
+padded input, which is kernel / stride times smaller. An eval conv
 with stride 1 builds no columns: it sums one GEMM per tap, that tap's
 weights times the padded input shifted by tap * dilation, so its memory
 is the output's, not kernel times the input's.
 
 Cache contract: forward(x, train=True) is the training path and keeps
-what backward() needs (conv columns, batchnorm's normalized input, the
-leaky ReLU mask, the dropout mask, the linear input, the LSTM states), so
-backward() must follow the forward it belongs to (after an eval forward
-it raises ValueError; dropout's passes dout on). forward(x) with
+what backward() needs, in its smallest exact form: the conv's padded
+input, batchnorm's normalized input, leaky ReLU's and dropout's bool
+masks, the linear input, and the LSTM states (see ddkseg.nn.lstm). A
+cache may reference x itself, so x must not change before backward().
+backward() takes the cache and drops it, so each cache lives from its
+train forward until its own backward and no longer: a layer runs backward
+once per train forward (a second backward, or one after an eval forward,
+raises ValueError; dropout's passes dout on). forward(x) with
 train=False is the inference path: the layer keeps nothing for backward
 (and drops any cache an earlier forward left), and it may write its output
 into x's memory, so the caller must not need x again. It also takes
@@ -38,6 +43,7 @@ class Layer:
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
+        self._cache = None  # what backward() needs, from the last train forward
 
     def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None) -> np.ndarray:
         raise NotImplementedError
@@ -45,8 +51,12 @@ class Layer:
     def backward(self, dout: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _train_cache(self, cache):
-        """Return cache; raise ValueError if the last forward ran in eval mode and kept none."""
+    def _take_cache(self):
+        """Return the cache the last train forward kept and drop the layer's
+        reference to it, so it is freed once backward is done with it.
+        Raise ValueError if there is none: the last forward ran in eval
+        mode, or its backward already ran."""
+        cache, self._cache = self._cache, None
         if cache is None:
             raise ValueError(f"{type(self).__name__}.backward needs a forward(..., train=True) first")
         return cache
@@ -79,7 +89,6 @@ class Conv1d(Layer):
             "weight": kaiming_uniform(rng, (out_channels, in_channels, kernel), in_channels * kernel, dtype),
             "bias": np.zeros(out_channels, dtype=dtype),
         }
-        self._cache = None
 
     def forward(self, x, train=False, rng=None, *, pad=None):
         """pad=(left, right) replaces the layer's own zero padding for this
@@ -99,20 +108,25 @@ class Conv1d(Layer):
             xp[:, :, :left] = 0
             xp[:, :, left:left + length] = x
             xp[:, :, left + length:] = 0
+        self._cache = (xp, left, length) if train else None
         if not train and self.stride == 1:
-            self._cache = None
             return self._tap_gemms(xp, out_len)
+        w2 = self.params["weight"].reshape(self.out_channels, -1)
+        out = np.matmul(w2, self._columns(xp, out_len))
+        out += self.params["bias"][None, :, None]
+        return out
+
+    def _columns(self, xp, out_len):
+        """im2col of the padded input, (batch, in_channels * kernel, out_len),
+        filled one tap at a time: row c * kernel + tap holds channel c read
+        from tap * dilation on, every stride-th sample."""
+        batch = xp.shape[0]
         span = (out_len - 1) * self.stride + 1
-        cols = np.empty((batch, self.in_channels, self.kernel, out_len), dtype=x.dtype)
+        cols = np.empty((batch, self.in_channels, self.kernel, out_len), dtype=xp.dtype)
         for tap in range(self.kernel):
             lo = tap * self.dilation
             cols[:, :, tap, :] = xp[:, :, lo:lo + span:self.stride]
-        cols2 = cols.reshape(batch, self.in_channels * self.kernel, out_len)
-        w2 = self.params["weight"].reshape(self.out_channels, -1)
-        out = np.matmul(w2, cols2)
-        out += self.params["bias"][None, :, None]
-        self._cache = (cols2, xp.shape, left, length) if train else None
-        return out
+        return cols.reshape(batch, self.in_channels * self.kernel, out_len)
 
     def _tap_gemms(self, xp, out_len):
         """Stride-1 output as one GEMM per tap: weight[:, :, tap] times the
@@ -128,16 +142,16 @@ class Conv1d(Layer):
         return out
 
     def backward(self, dout):
-        cols2, xp_shape, left, length = self._train_cache(self._cache)
+        xp, left, length = self._take_cache()
         batch, _, out_len = dout.shape
         w2 = self.params["weight"].reshape(self.out_channels, -1)
 
         self.grads["bias"] = dout.sum(axis=(0, 2))
-        dw2 = np.matmul(dout, cols2.transpose(0, 2, 1)).sum(axis=0)
+        dw2 = np.matmul(dout, self._columns(xp, out_len).transpose(0, 2, 1)).sum(axis=0)
         self.grads["weight"] = dw2.reshape(self.params["weight"].shape)
 
         dcols = np.matmul(w2.T, dout).reshape(batch, self.in_channels, self.kernel, out_len)
-        dxp = np.zeros(xp_shape, dtype=dout.dtype)
+        dxp = np.zeros(xp.shape, dtype=dout.dtype)
         span = (out_len - 1) * self.stride + 1
         for tap in range(self.kernel):
             lo = tap * self.dilation
@@ -155,7 +169,6 @@ class BatchNorm1d(Layer):
         }
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self._cache = None
 
     def extra_state(self):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
@@ -181,7 +194,7 @@ class BatchNorm1d(Layer):
         return self.params["gamma"][None, :, None] * xhat + self.params["beta"][None, :, None]
 
     def backward(self, dout):
-        xhat, inv_std = self._train_cache(self._cache)
+        xhat, inv_std = self._take_cache()
         gamma = self.params["gamma"]
         self.grads["gamma"] = (dout * xhat).sum(axis=(0, 2))
         self.grads["beta"] = dout.sum(axis=(0, 2))
@@ -196,45 +209,52 @@ class LeakyReLU(Layer):
     def __init__(self, slope: float = 0.01):
         super().__init__()
         self.slope = slope
-        self._neg = None
 
     def forward(self, x, train=False, rng=None):
         if not train:
-            self._neg = None
+            self._cache = None
             return np.maximum(x, x * x.dtype.type(self.slope), out=x)
         neg = x < 0
-        self._neg = neg
+        self._cache = neg
         return np.where(neg, x * x.dtype.type(self.slope), x)
 
     def backward(self, dout):
-        return np.where(self._train_cache(self._neg), dout * dout.dtype.type(self.slope), dout)
+        return np.where(self._take_cache(), dout * dout.dtype.type(self.slope), dout)
 
 
 class Dropout(Layer):
-    """Inverted dropout: train scales survivors by 1/(1-p); eval is identity."""
+    """Inverted dropout: train scales survivors by 1/(1-p); eval is identity.
+
+    Training keeps a bool keep-mask and applies it as (x * keep) * scale,
+    with scale = dtype(1) / (1 - p): the same bits, signed zeros included,
+    as multiplying by the float mask keep / (1 - p).
+    """
 
     def __init__(self, p: float):
         super().__init__()
         if not 0.0 <= p < 1.0:
             raise ValueError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
-        self._mask = None
 
     def forward(self, x, train=False, rng=None):
         if not train or self.p == 0.0:
-            self._mask = None
+            self._cache = None
             return x
         if rng is None:
             raise ValueError("dropout in train mode needs an rng")
         keep = rng.random(x.shape, dtype=np.float32) >= self.p
-        mask = keep.astype(x.dtype) / (1.0 - self.p)
-        self._mask = mask
-        return x * mask
+        self._cache = keep
+        return self._apply(x, keep)
 
     def backward(self, dout):
-        if self._mask is None:
+        if self._cache is None:  # eval forward, or p == 0
             return dout
-        return dout * self._mask
+        return self._apply(dout, self._take_cache())
+
+    def _apply(self, x, keep):
+        out = x * keep
+        out *= x.dtype.type(1) / (1.0 - self.p)
+        return out
 
 
 class Linear(Layer):
@@ -250,7 +270,6 @@ class Linear(Layer):
             "weight": kaiming_uniform(rng, (out_features, in_features), in_features, dtype),
             "bias": np.zeros(out_features, dtype=dtype),
         }
-        self._cache = None
 
     def forward(self, x, train=False, rng=None):
         if x.shape[-1] != self.in_features:
@@ -261,7 +280,7 @@ class Linear(Layer):
         return out.reshape(x.shape[:-1] + (self.out_features,))
 
     def backward(self, dout):
-        x2, x_shape = self._train_cache(self._cache)
+        x2, x_shape = self._take_cache()
         d2 = dout.reshape(-1, self.out_features)
         self.grads["weight"] = d2.T @ x2
         self.grads["bias"] = d2.sum(axis=0)

@@ -18,7 +18,12 @@ its output (s * (1 - s) for a sigmoid), so it needs no halving.
 At inference the input projection is computed PROJ_BLOCK steps at a
 time, and each block's hidden states are written straight into the
 (batch, time, 2H) output. In training the whole sequence is one block,
-and every step's gates, cell and tanh(cell) are kept for backward().
+and backward() gets the input x (by reference) and every step's gate
+outputs (written over the projection they were computed from), cell and
+hidden state. It recomputes tanh(cell) with the same np.tanh rather than
+keeping it, reads dout one step at a time, and writes each step's gate
+gradients over that step's spent gate outputs rather than into a second
+(time, 2, batch, 4H) array.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ class BiLSTM(Layer):
             self.params[f"{direction}_w_ih"] = uniform_fan(rng, (4 * hidden_size, input_size), hidden_size, dtype)
             self.params[f"{direction}_w_hh"] = uniform_fan(rng, (4 * hidden_size, hidden_size), hidden_size, dtype)
             self.params[f"{direction}_b"] = uniform_fan(rng, (4 * hidden_size,), hidden_size, dtype)
-        self._cache = None
 
     def forward(self, x, train=False, rng=None):
         """x is (B, T, I); returns (B, T, 2H), forward direction first."""
@@ -69,7 +73,6 @@ class BiLSTM(Layer):
         cell = np.zeros((2, batch, hid), dtype=x.dtype)
         if train:
             cells = np.zeros((t_len + 1, 2, batch, hid), dtype=x.dtype)  # cells[t + 1] after step t
-            tanh_c = np.empty((t_len, 2, batch, hid), dtype=x.dtype)
         zb = np.empty((2, batch, 4 * hid), dtype=x.dtype)  # recurrent matmul output
         zb_gates = zb.reshape(2, batch, 4, hid).transpose(2, 0, 1, 3)
         z = np.empty((4, 2, batch, hid), dtype=x.dtype)
@@ -99,47 +102,57 @@ class BiLSTM(Layer):
                 if train:
                     proj[j] = z
                     cells[j + 1] = cell
-                    tanh_c[j] = scratch
             out[:, fw_times, :hid] = hidden[1:k + 1, 0].transpose(1, 0, 2)
             out[:, bw_times, hid:] = hidden[k:0:-1, 1].transpose(1, 0, 2)
             if s0 + k < t_len:
                 hidden[0] = hidden[k]
-        self._cache = (x, proj, cells, hidden, tanh_c) if train else None
+        self._cache = (x, proj, cells, hidden) if train else None
         return out
 
     def backward(self, dout):
-        x, gates, cells, hidden, tanh_c = self._train_cache(self._cache)
+        x, gates, cells, hidden = self._take_cache()
         batch, t_len, _ = x.shape
         hid = self.hidden_size
         p = self.params
         w_hh = np.stack([p["fw_w_hh"], p["bw_w_hh"]])
-        # Upstream gradient per step, the backward direction's read last to first.
-        dh_out = np.stack([dout[:, :, :hid].transpose(1, 0, 2), dout[:, ::-1, hid:].transpose(1, 0, 2)], axis=1)
-        dz_all = np.empty((2, t_len, batch, 4 * hid), dtype=dout.dtype)
+        # dz_all[t] takes step t's gate gradients once the step is done with gates[t].
+        dz_all = gates.reshape(t_len, 2, batch, 4 * hid)
+        dz_gates = np.empty((4, 2, batch, hid), dtype=dout.dtype)  # gate-major, as gates[t]
+        # dc * g, dc * c_prev and dh * tanh(c): what scales each sigmoid gate's s * (1 - s).
+        upstream = np.empty((3, 2, batch, hid), dtype=dout.dtype)
+        tc = np.empty_like(cells[0])  # tanh(cell) after step t
+        # Upstream gradient per step, views of dout: the backward direction's read last to first.
+        dout_fw = dout[:, :, :hid].transpose(1, 0, 2)
+        dout_bw = dout[:, ::-1, hid:].transpose(1, 0, 2)
         dh = np.zeros((2, batch, hid), dtype=dout.dtype)
+        dh_fw, dh_bw = dh
         dc = np.zeros((2, batch, hid), dtype=dout.dtype)
         for t in range(t_len - 1, -1, -1):
             gi, gf, go, gg = gates[t]
-            tc = tanh_c[t]
-            dh += dh_out[t]
+            np.tanh(cells[t + 1], out=tc)
+            dh_fw += dout_fw[t]
+            dh_bw += dout_bw[t]
             dc += dh * go * (1.0 - tc * tc)
-            dz = dz_all[:, t]
-            di, df, do, dg = dz.reshape(2, batch, 4, hid).transpose(2, 0, 1, 3)
-            np.multiply(dc * gg, gi * (1.0 - gi), out=di)
-            np.multiply(dc * cells[t], gf * (1.0 - gf), out=df)
-            np.multiply(dh * tc, go * (1.0 - go), out=do)
-            np.multiply(dc * gi, 1.0 - gg * gg, out=dg)
-            np.matmul(dz, w_hh, out=dh)
+            np.multiply(dc, gg, out=upstream[0])
+            np.multiply(dc, cells[t], out=upstream[1])
+            np.multiply(dh, tc, out=upstream[2])
+            sigmoids = gates[t, :3]
+            np.multiply(upstream, sigmoids * (1.0 - sigmoids), out=dz_gates[:3])
+            np.multiply(dc * gi, 1.0 - gg * gg, out=dz_gates[3])
             dc *= gf
+            dz_all[t].reshape(2, batch, 4, hid)[...] = dz_gates.transpose(1, 2, 0, 3)
+            np.matmul(dz_all[t], w_hh, out=dh)
+        del cells  # free before the weight-gradient GEMMs copy their operands
 
         dx = np.zeros((t_len, batch, self.input_size), dtype=dout.dtype)
         x_tm = x.transpose(1, 0, 2)
         for d, direction in enumerate(("fw", "bw")):
-            dz2 = dz_all[d].reshape(t_len * batch, 4 * hid)
+            dz2 = dz_all[:, d].reshape(t_len * batch, 4 * hid)
             xs = x_tm if d == 0 else x_tm[::-1]
             self.grads[f"{direction}_w_ih"] = dz2.T @ xs.reshape(t_len * batch, self.input_size)
             self.grads[f"{direction}_w_hh"] = dz2.T @ hidden[:-1, d].reshape(t_len * batch, hid)
             self.grads[f"{direction}_b"] = dz2.sum(axis=0)
             dxs = (dz2 @ p[f"{direction}_w_ih"]).reshape(dx.shape)
             dx += dxs if d == 0 else dxs[::-1]
+            del dz2, dxs  # dz2 is a copy: free it before the next direction's
         return np.ascontiguousarray(dx.transpose(1, 0, 2))

@@ -117,6 +117,7 @@ def test_resample_identity_bit_exact(rng):
     wave = Waveform(rng.uniform(-0.5, 0.5, 1000), 16000)
     out = resample(wave, 16000)
     np.testing.assert_array_equal(out.samples, wave.samples)
+    assert np.shares_memory(out.samples, wave.samples)  # no copy at the model rate
 
 
 def test_resample_length():

@@ -98,7 +98,7 @@ def test_predict_file_leaves_no_backward_cache(cfg):
     model = Segmenter(cfg, seed=2)
     rng = np.random.default_rng(0)
     x = 0.1 * rng.standard_normal((2, 1, 1600))
-    model.loss_and_grads(x, np.zeros((2, 100), dtype=np.int64))
+    model.forward(x, train=True, rng=rng)
     layers = model.conv.layers + model.head.layers
     assert any(getattr(layer, "_cache", None) is not None for layer in layers)
 
