@@ -24,6 +24,14 @@ train=False is the inference path: the layer keeps nothing for backward
 into x's memory, so the caller must not need x again. It also takes
 cheaper kernels: batchnorm applies one per-channel scale and shift, and
 leaky ReLU is one maximum.
+
+Weight gradients: Conv1d, Linear and the BiLSTM put their parameter
+gradients in self.grads as soon as backward has its dx, but fill them
+through Layer._later. Inside Segmenter.loss_and_grads with a helper thread
+that is a job on that thread, so the arrays are complete only when the step
+returns; a backward called outside a step fills them before it returns. A
+job writes only into arrays the calling thread allocated for it, and reads
+arrays that nothing writes until the step ends.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ class Layer:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self._cache = None  # what backward() needs, from the last train forward
+        self._jobs = None  # the helper of the Segmenter.loss_and_grads step running, if it has one
 
     def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None) -> np.ndarray:
         raise NotImplementedError
@@ -60,6 +69,19 @@ class Layer:
         if cache is None:
             raise ValueError(f"{type(self).__name__}.backward needs a forward(..., train=True) first")
         return cache
+
+    def _later(self, job) -> None:
+        """Hand job() to the running step's helper thread, or run it now
+        when there is none (no step, or a step on one CPU)."""
+        if self._jobs is None:
+            job()
+        else:
+            self._jobs.submit(job)
+
+    def _wait(self) -> None:
+        """Return once every job handed to _later has run."""
+        if self._jobs is not None:
+            self._jobs.wait()
 
     def extra_state(self) -> dict[str, np.ndarray]:
         """Non-trainable arrays that still belong in checkpoints."""
@@ -116,17 +138,20 @@ class Conv1d(Layer):
         out += self.params["bias"][None, :, None]
         return out
 
-    def _columns(self, xp, out_len):
+    def _columns(self, xp, out_len, out=None):
         """im2col of the padded input, (batch, in_channels * kernel, out_len),
-        filled one tap at a time: row c * kernel + tap holds channel c read
-        from tap * dilation on, every stride-th sample."""
+        filled one tap at a time into out (allocated if None): row
+        c * kernel + tap holds channel c read from tap * dilation on, every
+        stride-th sample."""
         batch = xp.shape[0]
         span = (out_len - 1) * self.stride + 1
-        cols = np.empty((batch, self.in_channels, self.kernel, out_len), dtype=xp.dtype)
+        if out is None:
+            out = np.empty((batch, self.in_channels * self.kernel, out_len), dtype=xp.dtype)
+        cols = out.reshape(batch, self.in_channels, self.kernel, out_len)
         for tap in range(self.kernel):
             lo = tap * self.dilation
             cols[:, :, tap, :] = xp[:, :, lo:lo + span:self.stride]
-        return cols.reshape(batch, self.in_channels * self.kernel, out_len)
+        return out
 
     def _tap_gemms(self, xp, out_len):
         """Stride-1 output as one GEMM per tap: weight[:, :, tap] times the
@@ -146,8 +171,18 @@ class Conv1d(Layer):
         batch, _, out_len = dout.shape
         w2 = self.params["weight"].reshape(self.out_channels, -1)
 
-        self.grads["bias"] = dout.sum(axis=(0, 2))
-        dw2 = np.matmul(dout, self._columns(xp, out_len).transpose(0, 2, 1)).sum(axis=0)
+        db = np.empty(self.out_channels, dtype=dout.dtype)
+        dw2 = np.empty(w2.shape, dtype=np.result_type(dout, xp))
+        cols = np.empty((batch, w2.shape[1], out_len), dtype=xp.dtype)
+        per_window = np.empty((batch,) + w2.shape, dtype=dw2.dtype)
+
+        def weight_grads():
+            np.sum(dout, axis=(0, 2), out=db)
+            np.matmul(dout, self._columns(xp, out_len, out=cols).transpose(0, 2, 1), out=per_window)
+            np.sum(per_window, axis=0, out=dw2)
+
+        self._later(weight_grads)
+        self.grads["bias"] = db
         self.grads["weight"] = dw2.reshape(self.params["weight"].shape)
 
         dcols = np.matmul(w2.T, dout).reshape(batch, self.in_channels, self.kernel, out_len)
@@ -282,8 +317,16 @@ class Linear(Layer):
     def backward(self, dout):
         x2, x_shape = self._take_cache()
         d2 = dout.reshape(-1, self.out_features)
-        self.grads["weight"] = d2.T @ x2
-        self.grads["bias"] = d2.sum(axis=0)
+        dw = np.empty(self.params["weight"].shape, dtype=np.result_type(d2, x2))
+        db = np.empty(self.out_features, dtype=dout.dtype)
+
+        def weight_grads():
+            np.matmul(d2.T, x2, out=dw)
+            np.sum(d2, axis=0, out=db)
+
+        self._later(weight_grads)
+        self.grads["weight"] = dw
+        self.grads["bias"] = db
         return (d2 @ self.params["weight"]).reshape(x_shape)
 
 

@@ -23,10 +23,15 @@ outputs (written over the projection they were computed from), cell and
 hidden state. It recomputes tanh(cell) with the same np.tanh rather than
 keeping it, reads dout one step at a time, and writes each step's gate
 gradients over that step's spent gate outputs rather than into a second
-(time, 2, batch, 4H) array.
+(time, batch, 2, 4H) array. Inside a Segmenter.loss_and_grads step with a
+helper thread, the helper computes the backward direction's input
+projection and, once the reverse loop is done, both directions' weight
+gradients (see ddkseg.nn.layers).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -84,9 +89,12 @@ class BiLSTM(Layer):
             k = min(block, t_len - s0)
             fw_times = slice(s0, s0 + k)
             bw_times = slice(t_len - s0 - k, t_len - s0)  # read last to first below
-            for d, xs in enumerate((x[:, fw_times], x[:, bw_times][:, ::-1])):
-                r = np.matmul(xs, w_ih[d].T).reshape(batch, k, 4, hid)
-                proj[:k, :, d] = r.transpose(1, 2, 0, 3)
+            # In a training step with a helper thread, it projects the
+            # backward direction while this thread projects the forward one.
+            bw_proj = np.empty((batch, k, 4 * hid), dtype=x.dtype)
+            self._later(functools.partial(_project, x[:, bw_times][:, ::-1], w_ih[1], bw_proj, proj[:k, :, 1]))
+            _project(x[:, fw_times], w_ih[0], None, proj[:k, :, 0])
+            self._wait()
             proj[:k] += bias
             for j in range(k):
                 np.matmul(hidden[j], w_hh_t, out=zb)
@@ -115,8 +123,10 @@ class BiLSTM(Layer):
         hid = self.hidden_size
         p = self.params
         w_hh = np.stack([p["fw_w_hh"], p["bw_w_hh"]])
-        # dz_all[t] takes step t's gate gradients once the step is done with gates[t].
-        dz_all = gates.reshape(t_len, 2, batch, 4 * hid)
+        # dz_all[t] takes step t's gate gradients once the step is done with
+        # gates[t], batch-major, so that each direction's (time * batch, 4H)
+        # gradients are a view for the weight-gradient GEMMs.
+        dz_all = gates.reshape(t_len, batch, 2, 4 * hid)
         dz_gates = np.empty((4, 2, batch, hid), dtype=dout.dtype)  # gate-major, as gates[t]
         # dc * g, dc * c_prev and dh * tanh(c): what scales each sigmoid gate's s * (1 - s).
         upstream = np.empty((3, 2, batch, hid), dtype=dout.dtype)
@@ -140,19 +150,38 @@ class BiLSTM(Layer):
             np.multiply(upstream, sigmoids * (1.0 - sigmoids), out=dz_gates[:3])
             np.multiply(dc * gi, 1.0 - gg * gg, out=dz_gates[3])
             dc *= gf
-            dz_all[t].reshape(2, batch, 4, hid)[...] = dz_gates.transpose(1, 2, 0, 3)
-            np.matmul(dz_all[t], w_hh, out=dh)
-        del cells  # free before the weight-gradient GEMMs copy their operands
+            dz_all[t].reshape(batch, 2, 4, hid)[...] = dz_gates.transpose(2, 1, 0, 3)
+            np.matmul(dz_all[t].transpose(1, 0, 2), w_hh, out=dh)
+        del cells  # free before the weight-gradient GEMMs
 
+        dz2 = [dz_all[:, :, d].reshape(t_len * batch, 4 * hid) for d in (0, 1)]
+        grads = {k: np.empty(v.shape, dtype=gates.dtype) for k, v in p.items()}
+        # Each GEMM's time-major operand, copied in here by the job: one
+        # buffer for both directions, as the job runs them one by one.
+        xs = np.empty((t_len, batch, self.input_size), dtype=x.dtype)
+        hs = np.empty((t_len, batch, hid), dtype=hidden.dtype)
+
+        def weight_grads():
+            x_tm = x.transpose(1, 0, 2)
+            for d, direction in enumerate(("fw", "bw")):
+                np.copyto(xs, x_tm if d == 0 else x_tm[::-1])
+                np.matmul(dz2[d].T, xs.reshape(t_len * batch, -1), out=grads[f"{direction}_w_ih"])
+                np.copyto(hs, hidden[:-1, d])
+                np.matmul(dz2[d].T, hs.reshape(t_len * batch, hid), out=grads[f"{direction}_w_hh"])
+                np.sum(dz2[d], axis=0, out=grads[f"{direction}_b"])
+
+        self._later(weight_grads)
+        self.grads.update(grads)
         dx = np.zeros((t_len, batch, self.input_size), dtype=dout.dtype)
-        x_tm = x.transpose(1, 0, 2)
         for d, direction in enumerate(("fw", "bw")):
-            dz2 = dz_all[:, d].reshape(t_len * batch, 4 * hid)
-            xs = x_tm if d == 0 else x_tm[::-1]
-            self.grads[f"{direction}_w_ih"] = dz2.T @ xs.reshape(t_len * batch, self.input_size)
-            self.grads[f"{direction}_w_hh"] = dz2.T @ hidden[:-1, d].reshape(t_len * batch, hid)
-            self.grads[f"{direction}_b"] = dz2.sum(axis=0)
-            dxs = (dz2 @ p[f"{direction}_w_ih"]).reshape(dx.shape)
+            dxs = (dz2[d] @ p[f"{direction}_w_ih"]).reshape(dx.shape)
             dx += dxs if d == 0 else dxs[::-1]
-            del dz2, dxs  # dz2 is a copy: free it before the next direction's
+            del dxs  # free before the next direction's
         return np.ascontiguousarray(dx.transpose(1, 0, 2))
+
+
+def _project(xs, w_ih, out, dest):
+    """dest[time, gate, batch, :] = (xs @ w_ih.T) of xs (batch, time, I),
+    by way of the (batch, time, 4H) array out (allocated if None)."""
+    r = np.matmul(xs, w_ih.T, out=out)
+    dest[...] = r.reshape(r.shape[0], r.shape[1], 4, -1).transpose(1, 2, 0, 3)

@@ -1,9 +1,11 @@
+import os
 import threading
 
 import numpy as np
 import pytest
 
 from ddkseg.models import ModelConfig
+from ddkseg.postproc import N_CLASSES
 
 # Scaled-down clones of the two architectures (2 conv layers, stride
 # product still 16) for exhaustive finite-difference checks.
@@ -24,6 +26,31 @@ SMALL_LSTM = ModelConfig(
     conv_kernels=(16, 5, 5, 3, 3), conv_strides=(4, 2, 2, 1, 1),
     conv_paddings=(6, 2, 2, 1, 1), conv_dilations=(1, 1, 1, 1, 1),
     lstm_hidden=16, lstm_layers=2, fc_hidden=16)
+
+
+def set_cpus(monkeypatch, n):
+    """Make the process look as if it may run on n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def step_inputs(batch, seed=0, dtype=np.float32):
+    """A training batch of one-second windows and their frame labels."""
+    rng = np.random.default_rng(seed)
+    x = (0.1 * rng.standard_normal((batch, 1, 16000))).astype(dtype)
+    return x, rng.integers(0, N_CLASSES, (batch, 1000))
+
+
+def held(model):
+    """What a Segmenter's layers hold between steps: caches, and the step's helper."""
+    return [(type(layer).__name__, k) for layer in model.conv.layers + model.head.layers
+            for k, v in vars(layer).items() if k.startswith("_") and v is not None]
+
+
+def assert_same_bits(got, want):
+    """Equal dtype, shape and bytes: tells -0.0 from 0.0 and matches NaN payloads."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.uint8),
+                                  np.ascontiguousarray(want).view(np.uint8))
 
 
 @pytest.fixture

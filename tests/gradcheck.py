@@ -25,7 +25,9 @@ def grad_check(loss_and_grads: Callable[[], tuple[float, dict[str, np.ndarray]]]
 
     loss_and_grads evaluates the model at the current parameter values and
     returns the loss plus gradient arrays aligned with `params`. Parameters
-    are perturbed in place and restored exactly.
+    are perturbed in place, through their own indices, so a non-contiguous
+    parameter (a transposed view, say) is perturbed where the model reads
+    it, and restored exactly.
 
     When subsampling, selection="largest" checks the coordinates with the
     largest analytic gradients. Central differences at h carry an absolute
@@ -37,23 +39,23 @@ def grad_check(loss_and_grads: Callable[[], tuple[float, dict[str, np.ndarray]]]
     rng = rng or np.random.default_rng(0)
     worst = 0.0
     for key, value in params.items():
-        flat = value.reshape(-1)
-        gflat = grads[key].reshape(-1)
-        if coords_per_param is None or coords_per_param >= flat.size:
-            coords = range(flat.size)
+        grad = grads[key]
+        if coords_per_param is None or coords_per_param >= value.size:
+            coords = range(value.size)
         elif selection == "largest":
-            coords = np.argsort(np.abs(gflat))[-coords_per_param:]
+            coords = np.argsort(np.abs(grad), axis=None)[-coords_per_param:]
         else:
-            coords = rng.choice(flat.size, size=coords_per_param, replace=False)
-        for idx in coords:
-            saved = flat[idx]
-            flat[idx] = saved + h
+            coords = rng.choice(value.size, size=coords_per_param, replace=False)
+        for flat_idx in coords:
+            idx = np.unravel_index(flat_idx, value.shape)
+            saved = value[idx]
+            value[idx] = saved + h
             loss_plus, _ = loss_and_grads()
-            flat[idx] = saved - h
+            value[idx] = saved - h
             loss_minus, _ = loss_and_grads()
-            flat[idx] = saved
+            value[idx] = saved
             numeric = (loss_plus - loss_minus) / (2.0 * h)
-            analytic = float(gflat[idx])
+            analytic = float(grad[idx])
             err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), REL_EPS)
             worst = max(worst, err)
     return worst

@@ -5,17 +5,11 @@ gradients, bit for bit, in float32 and float64."""
 import numpy as np
 import pytest
 from backward_reference import bilstm_reference, conv1d_reference, dropout_reference
+from conftest import assert_same_bits
 
 from ddkseg import nn
 
 DTYPES = [np.float32, np.float64]
-
-
-def assert_same_bits(got, want):
-    """Equal dtype, shape and bytes: tells -0.0 from 0.0 and matches NaN payloads."""
-    assert got.dtype == want.dtype and got.shape == want.shape
-    np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.uint8),
-                                  np.ascontiguousarray(want).view(np.uint8))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

@@ -33,6 +33,22 @@ def test_linear_gradients(rng):
     assert err < 1e-6
 
 
+@pytest.mark.parametrize("coords, selection", [(None, "random"), (7, "random"), (7, "largest")])
+def test_non_contiguous_parameter_is_perturbed_where_the_model_reads_it(rng, coords, selection):
+    # A weight held as a transposed view: reshape(-1) would copy it, so a
+    # check that perturbed the flat copy never reached the model.
+    lin = nn.Sequential([nn.Linear(5, 4, rng=rng, dtype=np.float64)])
+    params = lin.layers[0].params
+    params["weight"] = np.ascontiguousarray(params["weight"].T).T
+    assert not params["weight"].flags.c_contiguous
+    before = params["weight"].copy()
+    x = rng.standard_normal((6, 5))
+    proj = rng.standard_normal((6, 4))
+    err = grad_check(projection_loss(lin, x, proj), lin.named_params(), coords_per_param=coords, selection=selection)
+    assert err < 1e-6
+    np.testing.assert_array_equal(params["weight"], before)
+
+
 def test_conv_bn_train_mode_gradients(rng):
     # Batch statistics carry gradients too; running-moment updates do not
     # affect the train-mode loss so differencing stays valid. No activation

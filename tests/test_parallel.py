@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import set_cpus
 
 from ddkseg import models
 from ddkseg.audio import MODEL_RATE_HZ, SAMPLES_PER_MS, Waveform, cut_windows
@@ -41,10 +42,6 @@ def _wave(trial, full, tail):
     return wave
 
 
-def _set_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
 @pytest.mark.parametrize("full", [1, 2, 5, 13])
 @pytest.mark.parametrize("tail", [False, True])
 def test_threaded_predict_file_is_bit_identical_to_one_thread(monkeypatch, cnn_model, trial, full, tail):
@@ -59,7 +56,7 @@ def test_threaded_predict_file_is_bit_identical_to_one_thread(monkeypatch, cnn_m
     monkeypatch.setattr(threading, "Thread", CountedThread)
     preds = {}
     for cpus in (1, 2, 3):
-        _set_cpus(monkeypatch, cpus)
+        set_cpus(monkeypatch, cpus)
         started.clear()
         preds[cpus] = predict_file(cnn_model, wave)
         assert len(started) == min(cpus, full) - 1
@@ -71,7 +68,7 @@ def test_threaded_predict_file_is_bit_identical_to_one_thread(monkeypatch, cnn_m
 def test_every_item_runs_once_under_frequent_thread_switches(monkeypatch):
     # Six threads switching as often as the interpreter allows: an item
     # taken twice or skipped shows in `calls`.
-    _set_cpus(monkeypatch, 6)
+    set_cpus(monkeypatch, 6)
     calls = []
 
     def work(i):
@@ -99,7 +96,7 @@ def test_cpu_count_where_affinity_is_unknown(monkeypatch):
 
 @pytest.mark.parametrize("failing", ["helper", "caller"])
 def test_error_in_any_thread_reaches_the_caller(monkeypatch, cnn_model, trial, failing):
-    _set_cpus(monkeypatch, 3)
+    set_cpus(monkeypatch, 3)
     original = Segmenter.forward
     helper_started = threading.Event()
 

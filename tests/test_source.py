@@ -83,3 +83,28 @@ def test_no_process_or_executor_pools():
             found += [f"{path.relative_to(SRC)}:{node.lineno}: {m}" for m in modules
                       if any(m == b or m.startswith(b + ".") for b in banned)]
     assert not found, "banned imports:\n" + "\n".join(found)
+
+
+def test_threads_start_in_one_place():
+    # Every helper thread comes from one function, which joins them and
+    # re-raises their errors: a second copy of that logic would drift.
+    makers = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        direct = {alias.asname or alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "threading"
+                  for alias in node.names if alias.name == "Thread"}
+
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                where = f"{path.relative_to(SRC)}:{getattr(node, 'name', '<lambda>')}"
+            if isinstance(node, ast.Call) and (
+                    (isinstance(node.func, ast.Attribute) and node.func.attr == "Thread"
+                     and isinstance(node.func.value, ast.Name) and node.func.value.id == "threading")
+                    or (isinstance(node.func, ast.Name) and node.func.id in direct)):
+                makers.add(where)
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(tree, f"{path.relative_to(SRC)}:<module>")
+    assert len(makers) == 1, f"threading.Thread( is called in {sorted(makers)}"

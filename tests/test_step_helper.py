@@ -1,0 +1,160 @@
+"""Segmenter.loss_and_grads hands its layers' weight gradients, and each
+BiLSTM's backward-direction input projection, to one helper thread when two
+or more CPUs are usable: the loss, gradients and training runs do not depend
+on the CPU count, a job's error reaches the caller with no thread and no
+layer cache left, one step's gradients survive the next step, and exactly
+one helper starts per step."""
+
+import dataclasses
+import sys
+import threading
+
+import numpy as np
+import pytest
+from conftest import SMALL_LSTM, TINY_CNN, TINY_LSTM, assert_same_bits, held, set_cpus, step_inputs
+
+from ddkseg.models import ModelConfig, Segmenter
+from ddkseg.nn import Layer
+from ddkseg.synth import Trial, TrialSpec, generate_trial
+from ddkseg.train import TrainConfig, train_model, write_train_log
+
+CONFIGS = {"tiny_lstm": TINY_LSTM, "tiny_cnn": TINY_CNN, "small_lstm": SMALL_LSTM, "default_lstm": ModelConfig()}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", CONFIGS)
+def test_loss_and_grads_do_not_depend_on_cpu_count(monkeypatch, name, dtype):
+    model = Segmenter(CONFIGS[name], seed=2, dtype=dtype)
+    x, y = step_inputs(4, seed=3, dtype=dtype)
+    weights = np.array([1.0, 2.5, 1.5])
+    steps = {}
+    for cpus in (1, 2, 3):
+        set_cpus(monkeypatch, cpus)
+        steps[cpus] = model.loss_and_grads(x, y, weights, rng=np.random.default_rng(4))
+    loss, grads = steps[1]
+    for cpus in (2, 3):
+        assert steps[cpus][0] == loss
+        assert steps[cpus][1].keys() == grads.keys()
+        for key, want in grads.items():
+            assert_same_bits(steps[cpus][1][key], want)
+
+
+def test_steps_under_frequent_thread_switches(monkeypatch):
+    # The caller and the helper switching as often as the interpreter
+    # allows: a job run twice, skipped, or read before it has run would
+    # change the bits.
+    model = Segmenter(TINY_LSTM, seed=2)
+    x, y = step_inputs(4, seed=5)
+    set_cpus(monkeypatch, 1)
+    loss, grads = model.loss_and_grads(x, y, rng=np.random.default_rng(6))
+    set_cpus(monkeypatch, 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        steps = [model.loss_and_grads(x, y, rng=np.random.default_rng(6)) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    for step_loss, step_grads in steps:
+        assert step_loss == loss
+        for key, want in grads.items():
+            assert_same_bits(step_grads[key], want)
+
+
+def test_training_does_not_depend_on_cpu_count(monkeypatch, tmp_path):
+    trials = [Trial(f"t{seed}", *generate_trial(TrialSpec(syllable_count=6, seed=seed))) for seed in range(1, 5)]
+    model_cfg = dataclasses.replace(TINY_LSTM, dropout_p=0.2)
+    cfg = TrainConfig(batch_size=2, lr=1e-2, max_epochs=2, patience=2, seed=7)
+    arrays = {}
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        run = train_model(trials[:3], trials[3:], model_cfg, cfg)
+        arrays[cpus] = run.model.checkpoint_arrays()
+        write_train_log(tmp_path / f"log{cpus}.csv", run.log)
+    assert arrays[2].keys() == arrays[1].keys()
+    for key, want in arrays[1].items():
+        assert_same_bits(arrays[2][key], want)
+    assert (tmp_path / "log1.csv").read_bytes() == (tmp_path / "log2.csv").read_bytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("failing", [0, 4], ids=["forward_job", "backward_job"])
+def test_error_in_a_job_reaches_the_caller(monkeypatch, cpus, failing):
+    # TINY_LSTM's jobs, in order: the two BiLSTMs' projections in the
+    # forward, then the weight gradients of Linear, Linear, BiLSTM, BiLSTM
+    # and the two convs in the backward.
+    set_cpus(monkeypatch, cpus)
+    model = Segmenter(TINY_LSTM, seed=1)
+    x, y = step_inputs(2)
+    handed = []
+    ran_on = []
+    original = Layer._later
+
+    def _later(self, job):
+        if len(handed) == failing:
+            def job():
+                ran_on.append(threading.current_thread())
+                raise RuntimeError("job failed")
+        handed.append(job)
+        original(self, job)
+
+    monkeypatch.setattr(Layer, "_later", _later)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="job failed"):
+        model.loss_and_grads(x, y, rng=np.random.default_rng(0))
+    assert threading.active_count() == before
+    assert (ran_on[0] is threading.main_thread()) == (cpus == 1)
+    assert not held(model), f"left after the failed step: {held(model)}"
+    monkeypatch.setattr(Layer, "_later", original)
+    loss, _ = model.loss_and_grads(x, y, rng=np.random.default_rng(0))
+    assert np.isfinite(loss)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_next_step_leaves_returned_grads_alone(monkeypatch, cpus):
+    # Callers may hold one step's gradients across later steps (the
+    # finite-difference checks do).
+    set_cpus(monkeypatch, cpus)
+    model = Segmenter(SMALL_LSTM, seed=1)
+    x, y = step_inputs(2, seed=1)
+    _, first = model.loss_and_grads(x, y, rng=np.random.default_rng(0))
+    kept = {k: v.copy() for k, v in first.items()}
+    x2, y2 = step_inputs(2, seed=2)
+    _, second = model.loss_and_grads(x2, y2, rng=np.random.default_rng(1))
+    for key, want in kept.items():
+        assert_same_bits(first[key], want)
+        assert second[key] is not first[key]
+    assert any(not np.array_equal(second[k], kept[k]) for k in kept)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_one_helper_per_step_and_none_on_one_cpu(monkeypatch, cpus):
+    set_cpus(monkeypatch, cpus)
+    started = []
+    job_threads = set()
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    original = Layer._later
+
+    def _later(self, job):
+        def recorded():
+            job_threads.add(threading.current_thread())
+            job()
+        original(self, recorded)
+
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    monkeypatch.setattr(Layer, "_later", _later)
+    model = Segmenter(TINY_LSTM, seed=1)
+    x, y = step_inputs(2)
+    for _ in range(2):
+        model.loss_and_grads(x, y, rng=np.random.default_rng(0))
+    assert len(started) == (2 if cpus > 1 else 0)
+    assert job_threads == (set(started) if cpus > 1 else {threading.main_thread()})
+    # An eval forward starts no helper: it runs its projection job inline.
+    started.clear()
+    job_threads.clear()
+    model.forward(x)
+    assert not started and job_threads == {threading.main_thread()}
