@@ -6,13 +6,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Decay rates of the first and second moment estimates, and the
+# denominator's floor.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -38,14 +41,14 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
                 f"non-finite gradient for {key!r}: {bad}/{grad.size} entries at step {state.step_count + 1}")
 
     state.step_count += 1
-    correct1 = 1.0 - state.beta1 ** state.step_count
-    correct2 = 1.0 - state.beta2 ** state.step_count
+    correct1 = 1.0 - BETA1 ** state.step_count
+    correct2 = 1.0 - BETA2 ** state.step_count
     for key, value in params.items():
         grad = grads[key].astype(np.float64, copy=False)
         m = state.m[key]
         v = state.v[key]
-        m += (1.0 - state.beta1) * (grad - m)
-        v += (1.0 - state.beta2) * (grad * grad - v)
-        update = (m / correct1) / (np.sqrt(v / correct2) + state.eps)
+        m += (1.0 - BETA1) * (grad - m)
+        v += (1.0 - BETA2) * (grad * grad - v)
+        update = (m / correct1) / (np.sqrt(v / correct2) + EPS)
         value -= (state.lr * update).astype(value.dtype)
     return state

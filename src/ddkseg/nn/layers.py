@@ -27,11 +27,12 @@ leaky ReLU is one maximum.
 
 Weight gradients: Conv1d, Linear and the BiLSTM put their parameter
 gradients in self.grads as soon as backward has its dx, but fill them
-through Layer._later. Inside Segmenter.loss_and_grads with a helper thread
-that is a job on that thread, so the arrays are complete only when the step
-returns; a backward called outside a step fills them before it returns. A
-job writes only into arrays the calling thread allocated for it, and reads
-arrays that nothing writes until the step ends.
+through Layer._later, which submits the job to the helper threads of the
+Segmenter.loss_and_grads step running (models._Helpers, one helper on two
+or more CPUs; on one CPU the job runs inline). So the arrays are complete
+only when the step returns; a backward called outside a step fills them
+before it returns. A job writes only into arrays the calling thread
+allocated for it, and reads arrays that nothing writes until the step ends.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ from .ops import kaiming_uniform
 # BatchNorm1d's running-moment update weight, and its variance floor.
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
+# The negative-side slope of every LeakyReLU.
+LEAKY_SLOPE = 0.01
 
 
 class Layer:
@@ -52,7 +55,7 @@ class Layer:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self._cache = None  # what backward() needs, from the last train forward
-        self._jobs = None  # the helper of the Segmenter.loss_and_grads step running, if it has one
+        self._jobs = None  # the helpers of the Segmenter.loss_and_grads step running, during one
 
     def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None) -> np.ndarray:
         raise NotImplementedError
@@ -71,8 +74,8 @@ class Layer:
         return cache
 
     def _later(self, job) -> None:
-        """Hand job() to the running step's helper thread, or run it now
-        when there is none (no step, or a step on one CPU)."""
+        """Hand job() to the running step's helpers, or run it now when no
+        step is running."""
         if self._jobs is None:
             job()
         else:
@@ -241,20 +244,16 @@ class BatchNorm1d(Layer):
 
 
 class LeakyReLU(Layer):
-    def __init__(self, slope: float = 0.01):
-        super().__init__()
-        self.slope = slope
-
     def forward(self, x, train=False, rng=None):
         if not train:
             self._cache = None
-            return np.maximum(x, x * x.dtype.type(self.slope), out=x)
+            return np.maximum(x, x * x.dtype.type(LEAKY_SLOPE), out=x)
         neg = x < 0
         self._cache = neg
-        return np.where(neg, x * x.dtype.type(self.slope), x)
+        return np.where(neg, x * x.dtype.type(LEAKY_SLOPE), x)
 
     def backward(self, dout):
-        return np.where(self._take_cache(), dout * dout.dtype.type(self.slope), dout)
+        return np.where(self._take_cache(), dout * dout.dtype.type(LEAKY_SLOPE), dout)
 
 
 class Dropout(Layer):

@@ -9,6 +9,7 @@ recordings so training and evaluation can run end to end at desk scale.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -123,6 +124,8 @@ def generate_corpus(n_trials: int, split_ratios: tuple[float, float, float], see
     Splits are assigned by position after a seeded shuffle so they are
     disjoint and reproducible.
     """
+    if not all(0.0 <= r < math.inf for r in split_ratios):
+        raise ValueError(f"split ratios must be finite and >= 0, got {split_ratios}")
     if abs(sum(split_ratios) - 1.0) > 1e-9:
         raise ValueError(f"split ratios must sum to 1, got {split_ratios}")
     out_dir = Path(out_dir)

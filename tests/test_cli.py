@@ -23,6 +23,14 @@ def test_synth_non_numeric_split_is_usage_error(tmp_path, capsys):
     assert "--split" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("split", ["2,-0.5,-0.5", "nan,0.5,0.5", "0.5,inf,-inf"])
+def test_synth_negative_or_non_finite_split_is_usage_error(tmp_path, capsys, split):
+    out = tmp_path / "corpus"
+    assert cli.main(["synth", "--out-dir", str(out), "--trials", "10", "--split", split]) == cli.EXIT_USAGE
+    assert "split ratios must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("row", ["x.csv,abc,2.0", "x.csv,1.0"])
 def test_rate_bad_windows_row_is_data_error(tmp_path, capsys, row):
     seg = tmp_path / "x.csv"
@@ -48,6 +56,9 @@ def test_rate_bad_windows_row_is_data_error(tmp_path, capsys, row):
     ({"patience": True}, [], "patience must be an integer, got True"),
     ({"augment": "yes"}, [], "augment must be true or false, got 'yes'"),
     ({}, ["--seed", "-1"], "seed must be >= 0"),
+    ({}, ["--epochs", "0", "--patience", "0"], "max_epochs must be >= 1"),
+    ({}, ["--epochs", "-3", "--patience", "-5"], "max_epochs must be >= 1"),
+    ({}, ["--patience", "-1"], "patience must be >= 0"),
 ])
 def test_train_bad_config_is_usage_error(tmp_path, capsys, train, flags, message):
     config = tmp_path / "config.json"
@@ -75,8 +86,9 @@ def test_train_config_of_wrong_json_shape_is_usage_error(tmp_path, text):
     ({"lstm_hidden": "128"}, "lstm_hidden must be an integer >= 0"),
     ({"fc_hidden": 0}, "fc_hidden must be an integer >= 1"),
     ({"dropout_p": 1.5}, r"dropout_p must be a number in \[0, 1\)"),
-    ({"leaky_slope": None}, "leaky_slope must be a number"),
+    ({"leaky_slope": None}, "leaky_slope must be 0.01"),
     ({"n_classes": 2}, "n_classes must be 3"),
+    ({"leaky_slope": 0.2}, "leaky_slope must be 0.01"),
 ])
 def test_train_bad_model_config_is_usage_error(tmp_path, capsys, model, message):
     config = tmp_path / "config.json"

@@ -95,7 +95,7 @@ def test_classifier_head_gradients(rng):
     # Linear -> leaky -> linear under softmax cross-entropy.
     stack = nn.Sequential([
         nn.Linear(4, 6, rng=rng, dtype=np.float64),
-        nn.LeakyReLU(0.01),
+        nn.LeakyReLU(),
         nn.Linear(6, 3, rng=rng, dtype=np.float64),
     ])
     x = rng.standard_normal((8, 4))

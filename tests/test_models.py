@@ -16,7 +16,7 @@ CHECKPOINTS = Path(__file__).resolve().parents[1] / "bench" / "checkpoints"
 @pytest.mark.parametrize("name, cfg", [("lstm", ModelConfig.lstm_default()), ("cnn", ModelConfig.cnn_default())])
 def test_committed_checkpoints_load(name, cfg):
     # Written before frame_rate_ms and allow_custom_shapes were removed, and
-    # with n_classes (3) in the config.
+    # with n_classes (3) and leaky_slope (0.01) in the config.
     model, meta = load_checkpoint(CHECKPOINTS / f"{name}.npz")
     assert model.cfg == cfg
     assert meta["arch"] == name
@@ -68,6 +68,10 @@ def _four_classes(h):
     h["config"]["n_classes"] = 4
 
 
+def _steep_slope(h):
+    h["config"]["leaky_slope"] = 0.2
+
+
 def _string_channels(h):
     h["config"]["conv_channels"] = "abc"
 
@@ -85,6 +89,7 @@ def _wrong_shape(arrays):
     (_bump_version, None, "unsupported checkpoint version 2"),
     (_unknown_key, None, r"unknown model config keys: \['frame_rate_hz'\]"),
     (_four_classes, None, "n_classes must be 3, one per label: other, vot, vowel"),
+    (_steep_slope, None, "leaky_slope must be 0.01, the slope of every LeakyReLU"),
     (_string_channels, None, "conv_channels must be a list of integers"),
     (_config_not_object, None, "checkpoint header holds no config object"),
     (None, _wrong_shape, "shape mismatch for param/"),

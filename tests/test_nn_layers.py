@@ -137,7 +137,7 @@ def test_batchnorm_running_moments():
 
 
 def test_leaky_relu_values():
-    act = nn.LeakyReLU(0.01)
+    act = nn.LeakyReLU()
     out = act.forward(np.array([-2.0, 0.0, 3.0]))
     np.testing.assert_allclose(out, [-0.02, 0.0, 3.0])
 
@@ -262,7 +262,7 @@ def _running_moments_norm(bn, x):
 @pytest.mark.parametrize("make, shape, reference", [
     (lambda rng: nn.Conv1d(2, 3, 5, stride=2, padding=2, rng=rng, dtype=np.float64), (2, 2, 11), None),
     (_batchnorm_with_stats, (2, 3, 9), _running_moments_norm),
-    (lambda rng: nn.LeakyReLU(0.01), (2, 3, 9), None),
+    (lambda rng: nn.LeakyReLU(), (2, 3, 9), None),
     (lambda rng: nn.Dropout(0.3), (2, 3, 9), lambda layer, x: x),
     (lambda rng: nn.Linear(4, 3, rng=rng, dtype=np.float64), (2, 5, 4), None),
 ], ids=["conv", "batchnorm", "leaky_relu", "dropout", "linear"])
@@ -284,7 +284,7 @@ def test_cache_free_eval_matches_cached_eval(rng, make, shape, reference):
 @pytest.mark.parametrize("make, shape", [
     (lambda rng: nn.Conv1d(2, 3, 5, stride=2, padding=2, rng=rng, dtype=np.float64), (2, 2, 11)),
     (_batchnorm_with_stats, (2, 3, 9)),
-    (lambda rng: nn.LeakyReLU(0.01), (2, 3, 9)),
+    (lambda rng: nn.LeakyReLU(), (2, 3, 9)),
     (lambda rng: nn.Linear(4, 3, rng=rng, dtype=np.float64), (2, 5, 4)),
     (lambda rng: nn.BiLSTM(4, 3, rng=rng, dtype=np.float64), (2, 5, 4)),
 ], ids=["conv", "batchnorm", "leaky_relu", "linear", "bilstm"])

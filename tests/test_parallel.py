@@ -1,12 +1,15 @@
 """predict_file shares a CNN file's full windows between the calling thread
-and one helper thread per further usable CPU: the output does not depend
-on the CPU count, an error in any thread reaches the caller, no thread
-outlives the call, and no input samples are written."""
+and one helper thread per further usable CPU (models._Helpers): the output
+does not depend on the CPU count, an error in any thread reaches the
+caller, no thread outlives the call, no input samples are written, and a
+helper holds no job that has run."""
 
+import functools
 import os
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -70,20 +73,62 @@ def test_every_item_runs_once_under_frequent_thread_switches(monkeypatch):
     # taken twice or skipped shows in `calls`.
     set_cpus(monkeypatch, 6)
     calls = []
+    results = [None] * 500
 
     def work(i):
         calls.append(i)
         time.sleep(0)
-        return i * i
+        results[i] = i * i
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results = models._run_on_cpus(work, 500)
+        with models._Helpers(500) as helpers:
+            for i in range(500):
+                helpers.submit(functools.partial(work, i))
+            helpers.help()
     finally:
         sys.setswitchinterval(interval)
     assert results == [i * i for i in range(500)]
     assert sorted(calls) == list(range(500))
+
+
+def _summing(array):
+    return lambda: array.sum()
+
+
+@pytest.mark.parametrize("bound", [0, 1])
+def test_a_helper_drops_each_job_once_it_has_run(monkeypatch, bound):
+    # A helper that keeps its last job until the next one arrives keeps
+    # that job's arrays alive between jobs: in training that raised the
+    # peak RSS.
+    set_cpus(monkeypatch, 2)
+    big = np.ones(1 << 20)
+    alive = weakref.ref(big)
+    with models._Helpers(2, bound=bound) as helpers:
+        helpers.submit(_summing(big))
+        del big
+        helpers.wait()
+        assert alive() is None
+
+
+def test_a_thread_that_cannot_start_leaves_none_running(monkeypatch):
+    set_cpus(monkeypatch, 3)
+    started = []
+    original = threading.Thread.start
+
+    def start(self):
+        if started:
+            raise RuntimeError("can't start new thread")
+        started.append(self)
+        original(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        with models._Helpers(3):
+            pass
+    started[0].join(timeout=30)
+    assert not started[0].is_alive()
 
 
 def test_cpu_count_where_affinity_is_unknown(monkeypatch):

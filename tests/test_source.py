@@ -86,25 +86,32 @@ def test_no_process_or_executor_pools():
 
 
 def test_threads_start_in_one_place():
-    # Every helper thread comes from one function, which joins them and
-    # re-raises their errors: a second copy of that logic would drift.
-    makers = set()
+    # Every helper thread, and the queue that feeds it jobs, comes from one
+    # function, which joins the threads and re-raises their errors: a
+    # second copy of that logic would drift.
+    makers = {("threading", "Thread"): set(), ("queue", "Queue"): set()}
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        direct = {alias.asname or alias.name for node in ast.walk(tree)
-                  if isinstance(node, ast.ImportFrom) and node.module == "threading"
-                  for alias in node.names if alias.name == "Thread"}
+        direct = {alias.asname or alias.name: (node.module, alias.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  for alias in node.names if (node.module, alias.name) in makers}
 
         def visit(node, where):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 where = f"{path.relative_to(SRC)}:{getattr(node, 'name', '<lambda>')}"
-            if isinstance(node, ast.Call) and (
-                    (isinstance(node.func, ast.Attribute) and node.func.attr == "Thread"
-                     and isinstance(node.func.value, ast.Name) and node.func.value.id == "threading")
-                    or (isinstance(node.func, ast.Name) and node.func.id in direct)):
-                makers.add(where)
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                    made = (func.value.id, func.attr)
+                elif isinstance(func, ast.Name):
+                    made = direct.get(func.id)
+                else:
+                    made = None
+                if made in makers:
+                    makers[made].add(where)
             for child in ast.iter_child_nodes(node):
                 visit(child, where)
 
         visit(tree, f"{path.relative_to(SRC)}:<module>")
-    assert len(makers) == 1, f"threading.Thread( is called in {sorted(makers)}"
+    for (module, name), where in makers.items():
+        assert len(where) == 1, f"{module}.{name}( is called in {sorted(where)}"
