@@ -23,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .audio import (MODEL_RATE_HZ, SAMPLES_PER_MS, WINDOW_MS, Waveform, cut_windows, frame_owners, resample,
-                    stitch_predictions)
+from .audio import MODEL_RATE_HZ, SAMPLES_PER_MS, WINDOW_MS, Waveform, cut_windows, frame_owners, resample
 from .errors import ConfigError, DataError, InternalError
 from .nn.layers import LEAKY_SLOPE
 from .postproc import LABEL_NAMES, N_CLASSES
@@ -176,7 +175,7 @@ class Segmenter:
             nn.Linear(cfg.fc_hidden, N_CLASSES, rng=rng, dtype=dtype),
         ]
         self.head = nn.Sequential(head_layers)
-        self._frames = 0
+        self._extra_frames = None  # from a train forward until its backward
 
     def named_params(self) -> dict[str, np.ndarray]:
         out = {f"conv.{k}": v for k, v in self.conv.named_params().items()}
@@ -198,47 +197,42 @@ class Segmenter:
                     out[f"state/{prefix}.{i}.{k}"] = v
         return out
 
-    def frame_count(self, n_samples: int) -> int:
-        return n_samples // SAMPLES_PER_MS
-
     def forward(self, x: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None, *,
                 keep: tuple[int, int] | None = None) -> np.ndarray:
-        """(batch, 1, samples) -> logits (batch, frames, N_CLASSES).
+        """(batch, 1, samples) -> logits (batch, samples // 16, N_CLASSES).
 
-        train=True keeps what backward() needs; train=False is the
-        inference path: no layer keeps anything for backward() (see
-        ddkseg.nn.layers), and x is left unchanged.
+        train=True keeps what backward() needs: each layer its cache, and the
+        model how many frames its conv stack computed past the logits.
+        train=False is the inference path: neither the model nor a layer
+        keeps anything (see ddkseg.nn.layers), so threads can share a model,
+        and x is left unchanged.
 
-        keep=(lo, hi) asks for the logits of frames [lo, hi) only, as
-        (batch, hi - lo, N_CLASSES), on the inference path. A CNN model
-        then computes the stride-1 top of its conv stack, and its
-        per-frame head, on just the frames those logits read: equal to the
-        full forward's [:, lo:hi] up to float rounding.
-        An LSTM model computes the whole window and slices the logits,
-        because its recurrence reads every frame.
+        keep=(lo, hi) asks for the logits of frames [lo, hi) only, on the
+        inference path of a CNN model: the stride-1 top of its conv stack,
+        and its per-frame head, then compute only the frames those logits
+        read, equal to the full forward's [:, lo:hi] up to float rounding.
+        An LSTM model raises ValueError: its recurrence reads every frame.
         """
         x = np.ascontiguousarray(x, dtype=self.dtype)
-        frames = self.frame_count(x.shape[2])
+        frames = x.shape[2] // SAMPLES_PER_MS
         if keep is not None:
             if not 0 <= keep[0] < keep[1] <= frames:
                 raise ValueError(f"keep span {keep} is empty or outside the window's {frames} frames")
             if train:
                 raise ValueError("keep is for inference: pass train=False")
-        if keep is not None and not self.cfg.lstm_layers:
+            if self.cfg.lstm_layers:
+                raise ValueError("keep needs a model without LSTM layers: a recurrence reads every frame")
             z = self._cropped_conv(x, *keep)
         else:
             z = self.conv.forward(x, train=train, rng=rng)
             if z.shape[2] < frames:
                 raise InternalError(f"conv stack produced {z.shape[2]} frames, expected >= {frames}")
-            self._frames = frames
-            self._conv_frames = z.shape[2]
+            if train:
+                self._extra_frames = z.shape[2] - frames
             z = z[:, :, :frames]
         z = np.ascontiguousarray(z.transpose(0, 2, 1))
-        logits = self.head.forward(z, train=train, rng=rng)
-        if keep is not None and self.cfg.lstm_layers:
-            return logits[:, keep[0]:keep[1]]
-        return logits
+        return self.head.forward(z, train=train, rng=rng)
 
     def _cropped_conv(self, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Eval-mode conv stack output for frames [lo, hi) only.
@@ -282,11 +276,11 @@ class Segmenter:
         return z[:, :, lo - offset:hi - offset]
 
     def backward(self, dlogits: np.ndarray) -> None:
-        dz = self.head.backward(dlogits)
+        dz = self.head.backward(dlogits)  # raises ValueError unless a train forward ran
+        extra, self._extra_frames = self._extra_frames, None
         dz = np.ascontiguousarray(dz.transpose(0, 2, 1))
-        if self._conv_frames > self._frames:
-            pad = self._conv_frames - self._frames
-            dz = np.pad(dz, ((0, 0), (0, 0), (0, pad)))
+        if extra:
+            dz = np.pad(dz, ((0, 0), (0, 0), (0, extra)))
         self.conv.backward(dz)
 
     def loss_and_grads(self, x: np.ndarray, targets: np.ndarray,
@@ -365,35 +359,34 @@ def predict_file(model: Segmenter, wave: Waveform) -> FramePrediction:
 
     Stitching gives each frame to one window (audio.frame_owners), so each
     window owns one contiguous span of frames (cut_windows' starts and ends
-    both increase), and only owned frames are kept. A CNN model runs each
-    full-length (1 s) window alone with keep= its owned span, so the
-    stride-1 top of its conv stack computes only what that span reads (see
-    Segmenter.forward). Each of those windows is a job for one helper
-    thread per further CPU this process may use, up to one thread per
-    window, and for the calling thread once all are queued. A job holds no
-    array until it runs, so the queue is unbounded. Each window's result is
-    stored under its own index, so the output is bit-identical whatever the
-    thread count. The GEMMs and elementwise kernels release the GIL, so the
-    threads overlap; BLAS itself stays on whatever thread count its
-    environment sets.
-    An LSTM model cannot crop, as its recurrence reads every frame: its
-    full windows go through the network WINDOWS_PER_FORWARD at a time,
-    stacked in one batch so each step of the recurrence serves them all,
-    and each window's span is sliced from its output. Its stacks run on the
-    calling thread alone: stacks of 4 windows on two threads measured 40.8
-    against 40.2 audio s/s on one (segment-lstm-16k, 2 CPUs), no gain for
-    a peak RSS of 83.5 against 68.4 MB.
-    A CNN has no recurrence to amortise and measured slower stacked. The
-    short tail window, if any, goes whole and alone through predict_window
-    on the calling thread, so it is never zero-padded to a full window;
-    the backward LSTM direction would read that padding. Stacking changes
-    the probabilities by float32 rounding only. All forwards here are
-    eval-mode and keep no backward caches.
+    both increase). The output is the owned spans' probabilities,
+    concatenated in window order, and their argmax.
 
-    The owned spans' probabilities are stitched and each frame's label is
-    their argmax. Output length equals the model-rate waveform's
-    duration_ms; when rounding puts duration_ms one past the last full
-    frame, the final frame repeats the last prediction.
+    The full-length (1 s) windows run as jobs on _Helpers. A job is one
+    forward of a stack of windows (a one-window job passes a view of the
+    samples, not a copy), and it stores each window's owned span under the
+    window's index, so the output is bit-identical whatever the thread count.
+    An LSTM model stacks WINDOWS_PER_FORWARD windows per job, so each step
+    of the recurrence serves them all, and slices the spans from the output.
+    Its jobs run on the calling thread alone: stacks of 4 on two threads
+    measured 40.8 against 40.2 audio s/s on one (segment-lstm-16k, 2 CPUs),
+    no gain for a peak RSS of 83.5 against 68.4 MB.
+    A CNN model has no recurrence to amortise and measured slower stacked.
+    Each job runs one window with keep= its owned span, so the stride-1 top
+    of its conv stack computes only what that span reads (see
+    Segmenter.forward). Jobs go to one helper thread per further usable
+    CPU, up to one per window, and to the calling thread once all are
+    queued; a job holds no array until it runs, so the queue is unbounded.
+    The GEMMs and elementwise kernels release the GIL, so the threads
+    overlap; BLAS stays on whatever thread count its environment sets.
+    Stacking changes the probabilities by float32 rounding only.
+
+    The short tail window, if any, goes whole and alone through
+    predict_window on the calling thread, so it is never zero-padded to a
+    full window (the backward LSTM direction would read that padding). All
+    forwards are eval-mode and keep no state. When rounding puts
+    duration_ms (the output length) one past the last full frame, the final
+    frame repeats the last prediction.
     """
     wave16 = resample(wave, MODEL_RATE_HZ)
     duration_ms = wave16.duration_ms
@@ -406,6 +399,8 @@ def predict_file(model: Segmenter, wave: Waveform) -> FramePrediction:
 
     windows = cut_windows(wave16)
     owner = frame_owners([(start, len(w) // SAMPLES_PER_MS) for start, w in windows], covered_ms)
+    if (owner < 0).any():
+        raise InternalError(f"stitch left {np.sum(owner < 0)} frames uncovered")
     # Owners never decrease along the file, so window i owns [edges[i], edges[i + 1]).
     edges = np.searchsorted(owner, np.arange(len(windows) + 1)).tolist()
     spans = [(edges[i] - start, edges[i + 1] - start) for i, (start, _) in enumerate(windows)]
@@ -414,32 +409,29 @@ def predict_file(model: Segmenter, wave: Waveform) -> FramePrediction:
     full_samples = WINDOW_MS * SAMPLES_PER_MS
     rf = model.cfg.receptive_field_samples()
     n_full = sum(len(w) == full_samples and len(w) >= rf for _, w in windows)
-    pieces = []  # (window index, probabilities of the frames it owns)
-    if model.cfg.lstm_layers:
-        for lo in range(0, n_full, WINDOWS_PER_FORWARD):
-            group = range(lo, min(lo + WINDOWS_PER_FORWARD, n_full))
-            probs = _window_probs(model, np.stack([windows[i][1].samples for i in group])[:, None, :])
-            pieces += [(i, p[slice(*spans[i])]) for i, p in zip(group, probs)]
-    else:
-        probs = [None] * n_full
+    lstm = bool(model.cfg.lstm_layers)
+    per_job = WINDOWS_PER_FORWARD if lstm else 1
+    owned = [None] * len(windows)  # probabilities of the frames each window owns
 
-        def run(i):
-            probs[i] = _window_probs(model, windows[i][1].samples[None, None, :], keep=spans[i])[0]
+    def run(lo):
+        group = range(lo, min(lo + per_job, n_full))
+        stack = [windows[i][1].samples for i in group]
+        x = stack[0][None, None, :] if len(stack) == 1 else np.stack(stack)[:, None, :]
+        probs = _window_probs(model, x, keep=None if lstm else spans[lo])
+        for i, p in zip(group, probs):
+            owned[i] = p[slice(*spans[i])] if lstm else p
 
-        with _Helpers(n_full) as helpers:
-            for i in range(n_full):
-                helpers.submit(functools.partial(run, i))
-            helpers.help()
-        pieces += list(enumerate(probs))
-    any_padded = False
-    for i in range(n_full, len(windows)):
-        pred = predict_window(model, windows[i][1])
-        any_padded = any_padded or pred.padded
-        pieces.append((i, pred.probs[slice(*spans[i])]))
-    probs = stitch_predictions([(edges[i], p) for i, p in pieces], covered_ms)
-    if duration_ms > covered_ms:
-        probs = np.concatenate([probs, np.repeat(probs[-1:], duration_ms - covered_ms, axis=0)])
-    return FramePrediction(np.argmax(probs, axis=1).astype(np.int8), probs, padded=any_padded)
+    with _Helpers(1 if lstm else n_full) as helpers:
+        for lo in range(0, n_full, per_job):
+            helpers.submit(functools.partial(run, lo))
+        helpers.help()
+    tails = [predict_window(model, w) for _, w in windows[n_full:]]
+    for i, pred in enumerate(tails, n_full):
+        owned[i] = pred.probs[slice(*spans[i])]
+    if duration_ms > covered_ms:  # one frame at most: the last full one's, again
+        owned.append(owned[owner[-1]][-1:])
+    probs = np.concatenate(owned)
+    return FramePrediction(np.argmax(probs, axis=1).astype(np.int8), probs, padded=any(p.padded for p in tails))
 
 
 def _usable_cpus() -> int:

@@ -124,6 +124,8 @@ def generate_corpus(n_trials: int, split_ratios: tuple[float, float, float], see
     Splits are assigned by position after a seeded shuffle so they are
     disjoint and reproducible.
     """
+    if n_trials < 1:
+        raise ValueError(f"trial count must be >= 1, got {n_trials}")
     if not all(0.0 <= r < math.inf for r in split_ratios):
         raise ValueError(f"split ratios must be finite and >= 0, got {split_ratios}")
     if abs(sum(split_ratios) - 1.0) > 1e-9:

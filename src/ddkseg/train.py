@@ -56,8 +56,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
-        if self.patience < 0:
-            raise ValueError("patience must be >= 0")
+        if self.patience < 1:
+            raise ValueError("patience must be >= 1")
         if self.patience > self.max_epochs:
             raise ValueError("patience cannot exceed max_epochs")
 

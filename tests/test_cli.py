@@ -31,6 +31,14 @@ def test_synth_negative_or_non_finite_split_is_usage_error(tmp_path, capsys, spl
     assert not out.exists()
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_synth_trial_count_below_one_is_usage_error(tmp_path, capsys, trials):
+    out = tmp_path / "corpus"
+    assert cli.main(["synth", "--out-dir", str(out), "--trials", trials]) == cli.EXIT_USAGE
+    assert f"trial count must be >= 1, got {trials}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("row", ["x.csv,abc,2.0", "x.csv,1.0"])
 def test_rate_bad_windows_row_is_data_error(tmp_path, capsys, row):
     seg = tmp_path / "x.csv"
@@ -58,7 +66,8 @@ def test_rate_bad_windows_row_is_data_error(tmp_path, capsys, row):
     ({}, ["--seed", "-1"], "seed must be >= 0"),
     ({}, ["--epochs", "0", "--patience", "0"], "max_epochs must be >= 1"),
     ({}, ["--epochs", "-3", "--patience", "-5"], "max_epochs must be >= 1"),
-    ({}, ["--patience", "-1"], "patience must be >= 0"),
+    ({}, ["--patience", "-1"], "patience must be >= 1"),
+    ({}, ["--patience", "0"], "patience must be >= 1"),
 ])
 def test_train_bad_config_is_usage_error(tmp_path, capsys, train, flags, message):
     config = tmp_path / "config.json"

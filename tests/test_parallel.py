@@ -1,8 +1,9 @@
 """predict_file shares a CNN file's full windows between the calling thread
-and one helper thread per further usable CPU (models._Helpers): the output
-does not depend on the CPU count, an error in any thread reaches the
-caller, no thread outlives the call, no input samples are written, and a
-helper holds no job that has run."""
+and one helper thread per further usable CPU (models._Helpers), and runs
+an LSTM file's stacks on the calling thread alone: the output does not
+depend on the CPU count, an error in any thread reaches the caller, no
+thread outlives the call, no input samples are written, and a helper holds
+no job that has run."""
 
 import functools
 import os
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import set_cpus
+from conftest import TINY_LSTM, set_cpus
 
 from ddkseg import models
 from ddkseg.audio import MODEL_RATE_HZ, SAMPLES_PER_MS, Waveform, cut_windows
@@ -66,6 +67,39 @@ def test_threaded_predict_file_is_bit_identical_to_one_thread(monkeypatch, cnn_m
     for cpus in (2, 3):
         np.testing.assert_array_equal(preds[cpus].probs, preds[1].probs)
         np.testing.assert_array_equal(preds[cpus].labels, preds[1].labels)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_lstm_stacks_run_on_the_calling_thread(monkeypatch, trial, cpus):
+    # 9 full windows and a tail: stacks of 4, 4 and 1 windows, the last a
+    # view of the file's samples, then the tail through predict_window.
+    model = Segmenter(TINY_LSTM, seed=1)
+    wave = _wave(trial, 9, True)
+    started, forwards, tails = [], [], []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    def forward(self, x, *args, **kwargs):
+        forwards.append((x.shape[0], x.shape[2], np.shares_memory(x, wave.samples)))
+        return original_forward(self, x, *args, **kwargs)
+
+    def predict_window(model, window):
+        tails.append(len(window.samples))
+        return original_window(model, window)
+
+    original_forward, original_window = Segmenter.forward, models.predict_window
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    monkeypatch.setattr(Segmenter, "forward", forward)
+    monkeypatch.setattr(models, "predict_window", predict_window)
+    set_cpus(monkeypatch, cpus)
+    predict_file(model, wave)
+    full, tail = 1000 * SAMPLES_PER_MS, 600 * SAMPLES_PER_MS
+    assert started == []
+    assert forwards == [(4, full, False), (4, full, False), (1, full, True), (1, tail, True)]
+    assert tails == [tail]
 
 
 def test_every_item_runs_once_under_frequent_thread_switches(monkeypatch):

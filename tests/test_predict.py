@@ -1,6 +1,6 @@
 """Invariants of predict_file: stacked full windows against the per-window
-reference, output length at every input rate, determinism, and no backward
-caches left behind."""
+reference, output length at every input rate, determinism, no backward
+caches left behind, and no state kept by any eval forward."""
 
 from pathlib import Path
 
@@ -113,3 +113,27 @@ def test_backward_after_predict_file_raises():
     predict_file(model, Waveform(np.zeros(1600), MODEL_RATE_HZ))
     with pytest.raises(ValueError, match=r"train=True"):
         model.backward(np.zeros((1, 100, N_CLASSES), dtype=np.float32))
+
+
+@pytest.mark.parametrize("cfg", [TINY_LSTM, TINY_CNN])
+def test_eval_forwards_keep_no_state(cfg):
+    # Threads share one model in predict_file, so an eval forward may set
+    # no attribute of the model or of any layer, nor change a stored array.
+    model = Segmenter(cfg, seed=2)
+    rng = np.random.default_rng(0)
+    objects = [model, model.conv, model.head] + model.conv.layers + model.head.layers
+    before = [dict(vars(obj)) for obj in objects]
+    arrays = model.snapshot()
+
+    x = 0.1 * rng.standard_normal((2, 1, 1600))
+    model.forward(x)
+    if not cfg.lstm_layers:
+        model.forward(x, keep=(10, 60))
+    predict_file(model, Waveform(0.1 * rng.standard_normal(45_000).clip(-1, 0.9), MODEL_RATE_HZ))
+    for obj, old in zip(objects, before):
+        new = vars(obj)
+        assert new.keys() == old.keys(), type(obj).__name__
+        changed = [k for k, v in old.items() if new[k] is not v]
+        assert not changed, f"{type(obj).__name__} set {changed}"
+    for name, array in model.snapshot().items():
+        np.testing.assert_array_equal(array, arrays[name], err_msg=name)
