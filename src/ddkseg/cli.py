@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -138,7 +139,11 @@ def _load_train_configs(args) -> tuple[ModelConfig, TrainConfig]:
             raise ConfigError(f"unknown train config keys: {sorted(unknown)}{hint}")
         model_cfg = ModelConfig.from_dict({**base.to_dict(), **model_over})
         model_cfg.validate()
-        train_cfg = TrainConfig(**{**train_over, **flags, "seed": args.seed})
+        train = {**train_over, **flags, "seed": args.seed}
+        if "patience" not in train and type(train.get("max_epochs")) is int:
+            # The default patience, cut to an epoch count below it.
+            train["patience"] = min(TrainConfig.patience, train["max_epochs"])
+        train_cfg = TrainConfig(**train)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
     return model_cfg, train_cfg
@@ -196,9 +201,19 @@ def _parse_window(text: str) -> tuple[float, float]:
         start, end = (float(x) for x in text.split(":"))
     except ValueError as exc:
         raise ConfigError(f"--window must be START:END in seconds, got {text!r}") from exc
-    if end <= start:
-        raise ConfigError(f"--window end must exceed start, got {text!r}")
+    problem = _window_problem(start, end)
+    if problem:
+        raise ConfigError(f"--window {problem}, got {text!r}")
     return start, end
+
+
+def _window_problem(start: float, end: float) -> str | None:
+    """Why [start, end] seconds is not an articulation window, or None."""
+    if not (math.isfinite(start) and math.isfinite(end)):
+        return "bounds must be finite"
+    if end <= start:
+        return "end must exceed start"
+    return None
 
 
 def _load_windows_csv(path) -> dict[str, tuple[float, float]]:
@@ -211,6 +226,9 @@ def _load_windows_csv(path) -> dict[str, tuple[float, float]]:
             out[row[0]] = (float(row[1]), float(row[2]))
         except (IndexError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: expected path,start_s,end_s, got {row!r}") from exc
+        problem = _window_problem(*out[row[0]])
+        if problem:
+            raise DataError(f"{path}:{lineno}: window {problem}, got {row!r}")
     return out
 
 

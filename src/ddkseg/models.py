@@ -291,7 +291,8 @@ class Segmenter:
         With two or more usable CPUs the step gets one helper thread
         (_Helpers(2, bound=1)), which runs the jobs that the layers hand it
         (see ddkseg.nn.layers): each Conv1d's, Linear's and BiLSTM's weight
-        gradients, handed over once the layer has its dx, so they overlap
+        gradients, handed over once the layer has its dx (a BiLSTM's
+        recurrent weights' just before, beside its dx GEMMs), so they overlap
         the backward of the layers below; and in the forward, each BiLSTM's
         backward-direction input projection, beside the forward
         direction's. Its GEMMs release the GIL, so they overlap this

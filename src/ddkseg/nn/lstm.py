@@ -15,18 +15,22 @@ than strided slices at these sizes. Sigmoids are taken as
 tanh covers all four gates; backward() takes each gate's derivative from
 its output (s * (1 - s) for a sigmoid), so it needs no halving.
 
-At inference the input projection is computed PROJ_BLOCK steps at a
-time, and each block's hidden states are written straight into the
-(batch, time, 2H) output. In training the whole sequence is one block,
-and backward() gets the input x (by reference) and every step's gate
-outputs (written over the projection they were computed from), cell and
-hidden state. It recomputes tanh(cell) with the same np.tanh rather than
-keeping it, reads dout one step at a time, and writes each step's gate
-gradients over that step's spent gate outputs rather than into a second
-(time, batch, 2, 4H) array. Inside a Segmenter.loss_and_grads step with a
-helper thread, the helper computes the backward direction's input
-projection and, once the reverse loop is done, both directions' weight
-gradients (see ddkseg.nn.layers).
+The input projection is computed PROJ_BLOCK steps at a time, and the
+hidden states of one block at a time are kept, each block's written
+straight into the (batch, time, 2H) output. At inference each block is
+projected just before its steps run. In training every block is projected
+before the loop, straight into the gate cache, and backward() gets the
+input x (by reference), every step's gate outputs (written over the
+projection they were computed from) and every step's cell. It recomputes
+tanh(cell) with the same np.tanh rather than keeping it, and from it each
+step's hidden state, go * tanh(cell), as forward computed it, for the
+recurrent weights' gradient. It reads dout one step at a time, and writes
+each step's gate gradients over that step's spent gate outputs rather than
+into a second (time, batch, 2, 4H) array. Inside a Segmenter.loss_and_grads
+step with a helper thread, the helper computes the backward direction's
+input projection, and in backward() the recurrent weights' and biases'
+gradients beside the input gradient, then the input weights' (see
+ddkseg.nn.layers).
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ import numpy as np
 from .layers import Layer
 from .ops import uniform_fan
 
-# Time steps per input-projection block at inference: bounds its buffer to
-# (PROJ_BLOCK, 4, 2, batch, H) whatever the sequence length.
+# Time steps per input-projection block: bounds the projection's buffers,
+# and the hidden states kept, whatever the sequence length.
 PROJ_BLOCK = 128
 
 
@@ -70,14 +74,23 @@ class BiLSTM(Layer):
         w_hh_t = np.ascontiguousarray((np.stack([p["fw_w_hh"], p["bw_w_hh"]]) * half).transpose(0, 2, 1))
         bias = (np.stack([p["fw_b"], p["bw_b"]]) * half[:, 0]).reshape(2, 4, 1, hid).transpose(1, 0, 2, 3)
 
-        block = t_len if train else min(PROJ_BLOCK, t_len)
-        # In training, proj[t] is overwritten by step t's gate outputs once the step has read it.
-        proj = np.empty((block, 4, 2, batch, hid), dtype=x.dtype)
+        block = min(PROJ_BLOCK, t_len)
         # hidden[0] is the state carried into the block, hidden[j + 1] step j's output.
         hidden = np.zeros((block + 1, 2, batch, hid), dtype=x.dtype)
         cell = np.zeros((2, batch, hid), dtype=x.dtype)
         if train:
+            # Projected whole before the loop, a block at a time; proj[t] is
+            # overwritten by step t's gate outputs once the step has read it.
+            # In a training step with a helper thread, it projects the
+            # backward direction while this thread projects the forward one.
+            proj = np.empty((t_len, 4, 2, batch, hid), dtype=x.dtype)
             cells = np.zeros((t_len + 1, 2, batch, hid), dtype=x.dtype)  # cells[t + 1] after step t
+            self._later(functools.partial(_project, x[:, ::-1], w_ih[1],
+                                          np.empty((batch, block, 4 * hid), dtype=x.dtype), proj[:, :, 1]))
+            _project(x, w_ih[0], None, proj[:, :, 0])
+            self._wait()
+        else:
+            proj = np.empty((block, 4, 2, batch, hid), dtype=x.dtype)
         zb = np.empty((2, batch, 4 * hid), dtype=x.dtype)  # recurrent matmul output
         zb_gates = zb.reshape(2, batch, 4, hid).transpose(2, 0, 1, 3)
         z = np.empty((4, 2, batch, hid), dtype=x.dtype)
@@ -89,16 +102,18 @@ class BiLSTM(Layer):
             k = min(block, t_len - s0)
             fw_times = slice(s0, s0 + k)
             bw_times = slice(t_len - s0 - k, t_len - s0)  # read last to first below
-            # In a training step with a helper thread, it projects the
-            # backward direction while this thread projects the forward one.
-            bw_proj = np.empty((batch, k, 4 * hid), dtype=x.dtype)
-            self._later(functools.partial(_project, x[:, bw_times][:, ::-1], w_ih[1], bw_proj, proj[:k, :, 1]))
-            _project(x[:, fw_times], w_ih[0], None, proj[:k, :, 0])
-            self._wait()
-            proj[:k] += bias
+            if train:
+                steps = proj[fw_times]
+            else:
+                steps = proj[:k]
+                bw_proj = np.empty((batch, k, 4 * hid), dtype=x.dtype)
+                self._later(functools.partial(_project, x[:, bw_times][:, ::-1], w_ih[1], bw_proj, steps[:, :, 1]))
+                _project(x[:, fw_times], w_ih[0], None, steps[:, :, 0])
+                self._wait()
+            steps += bias
             for j in range(k):
                 np.matmul(hidden[j], w_hh_t, out=zb)
-                np.add(zb_gates, proj[j], out=z)
+                np.add(zb_gates, steps[j], out=z)
                 np.tanh(z, out=z)
                 sigmoid_gates *= 0.5
                 sigmoid_gates += 0.5
@@ -108,17 +123,17 @@ class BiLSTM(Layer):
                 np.tanh(cell, out=scratch)
                 np.multiply(go, scratch, out=hidden[j + 1])
                 if train:
-                    proj[j] = z
-                    cells[j + 1] = cell
+                    steps[j] = z
+                    cells[s0 + j + 1] = cell
             out[:, fw_times, :hid] = hidden[1:k + 1, 0].transpose(1, 0, 2)
             out[:, bw_times, hid:] = hidden[k:0:-1, 1].transpose(1, 0, 2)
             if s0 + k < t_len:
                 hidden[0] = hidden[k]
-        self._cache = (x, proj, cells, hidden) if train else None
+        self._cache = (x, proj, cells) if train else None
         return out
 
     def backward(self, dout):
-        x, gates, cells, hidden = self._take_cache()
+        x, gates, cells = self._take_cache()
         batch, t_len, _ = x.shape
         hid = self.hidden_size
         p = self.params
@@ -131,6 +146,9 @@ class BiLSTM(Layer):
         # dc * g, dc * c_prev and dh * tanh(c): what scales each sigmoid gate's s * (1 - s).
         upstream = np.empty((3, 2, batch, hid), dtype=dout.dtype)
         tc = np.empty_like(cells[0])  # tanh(cell) after step t
+        # hs[d, t]: the hidden state direction d carried into step t (zero at
+        # t = 0), rebuilt from step t - 1's gates and cell as forward made it.
+        hs = np.zeros((2, t_len, batch, hid), dtype=x.dtype)
         # Upstream gradient per step, views of dout: the backward direction's read last to first.
         dout_fw = dout[:, :, :hid].transpose(1, 0, 2)
         dout_bw = dout[:, ::-1, hid:].transpose(1, 0, 2)
@@ -140,6 +158,8 @@ class BiLSTM(Layer):
         for t in range(t_len - 1, -1, -1):
             gi, gf, go, gg = gates[t]
             np.tanh(cells[t + 1], out=tc)
+            if t + 1 < t_len:
+                np.multiply(go, tc, out=hs[:, t + 1])
             dh_fw += dout_fw[t]
             dh_bw += dout_bw[t]
             dc += dh * go * (1.0 - tc * tc)
@@ -152,36 +172,48 @@ class BiLSTM(Layer):
             dc *= gf
             dz_all[t].reshape(batch, 2, 4, hid)[...] = dz_gates.transpose(2, 1, 0, 3)
             np.matmul(dz_all[t].transpose(1, 0, 2), w_hh, out=dh)
-        del cells  # free before the weight-gradient GEMMs
+        del cells  # free before the GEMMs
 
         dz2 = [dz_all[:, :, d].reshape(t_len * batch, 4 * hid) for d in (0, 1)]
         grads = {k: np.empty(v.shape, dtype=gates.dtype) for k, v in p.items()}
-        # Each GEMM's time-major operand, copied in here by the job: one
-        # buffer for both directions, as the job runs them one by one.
-        xs = np.empty((t_len, batch, self.input_size), dtype=x.dtype)
-        hs = np.empty((t_len, batch, hid), dtype=hidden.dtype)
+        # Two jobs: the first runs beside the dx GEMMs below (one job after
+        # them left the helper idle there, and the next layers' jobs waited
+        # on the full queue), and the second's operand buffer xs is
+        # allocated only once their temporaries are freed.
 
-        def weight_grads():
-            x_tm = x.transpose(1, 0, 2)
+        def recurrent_grads():
             for d, direction in enumerate(("fw", "bw")):
-                np.copyto(xs, x_tm if d == 0 else x_tm[::-1])
-                np.matmul(dz2[d].T, xs.reshape(t_len * batch, -1), out=grads[f"{direction}_w_ih"])
-                np.copyto(hs, hidden[:-1, d])
-                np.matmul(dz2[d].T, hs.reshape(t_len * batch, hid), out=grads[f"{direction}_w_hh"])
+                np.matmul(dz2[d].T, hs[d].reshape(t_len * batch, hid), out=grads[f"{direction}_w_hh"])
                 np.sum(dz2[d], axis=0, out=grads[f"{direction}_b"])
 
-        self._later(weight_grads)
-        self.grads.update(grads)
+        self._later(recurrent_grads)
         dx = np.zeros((t_len, batch, self.input_size), dtype=dout.dtype)
         for d, direction in enumerate(("fw", "bw")):
             dxs = (dz2[d] @ p[f"{direction}_w_ih"]).reshape(dx.shape)
             dx += dxs if d == 0 else dxs[::-1]
             del dxs  # free before the next direction's
-        return np.ascontiguousarray(dx.transpose(1, 0, 2))
+
+        # The input GEMMs' time-major operand, copied in here by the job: one
+        # buffer for both directions, as the job runs them one by one.
+        xs = np.empty((t_len, batch, self.input_size), dtype=x.dtype)
+
+        def input_grads():
+            x_tm = x.transpose(1, 0, 2)
+            for d, direction in enumerate(("fw", "bw")):
+                np.copyto(xs, x_tm if d == 0 else x_tm[::-1])
+                np.matmul(dz2[d].T, xs.reshape(t_len * batch, -1), out=grads[f"{direction}_w_ih"])
+
+        self._later(input_grads)
+        self.grads.update(grads)
+        return dx.transpose(1, 0, 2)
 
 
 def _project(xs, w_ih, out, dest):
     """dest[time, gate, batch, :] = (xs @ w_ih.T) of xs (batch, time, I),
-    by way of the (batch, time, 4H) array out (allocated if None)."""
-    r = np.matmul(xs, w_ih.T, out=out)
-    dest[...] = r.reshape(r.shape[0], r.shape[1], 4, -1).transpose(1, 2, 0, 3)
+    PROJ_BLOCK steps at a time, by way of the (batch, PROJ_BLOCK or fewer,
+    4H) array out (allocated for each block if None)."""
+    for s0 in range(0, xs.shape[1], PROJ_BLOCK):
+        xb = xs[:, s0:s0 + PROJ_BLOCK]
+        k = xb.shape[1]
+        r = np.matmul(xb, w_ih.T, out=None if out is None else out[:, :k])
+        dest[s0:s0 + k] = r.reshape(r.shape[0], k, 4, -1).transpose(1, 2, 0, 3)

@@ -50,6 +50,53 @@ def test_rate_bad_windows_row_is_data_error(tmp_path, capsys, row):
     assert "windows.csv:2: expected path,start_s,end_s" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row, message", [
+    ("x.csv,nan,2", "bounds must be finite"),
+    ("x.csv,0,inf", "bounds must be finite"),
+    ("x.csv,3,2", "end must exceed start"),
+    ("x.csv,2,2", "end must exceed start"),
+])
+def test_rate_windows_row_that_is_no_window_is_data_error(tmp_path, capsys, row, message):
+    seg = tmp_path / "x.csv"
+    seg.write_text("onset_ms,offset_ms,label\n10,20,vot\n20,80,vowel\n")
+    windows = tmp_path / "windows.csv"
+    windows.write_text(f"path,start_s,end_s\n{row}\n")
+    out = tmp_path / "rates.csv"
+    code = cli.main(["rate", str(seg), "--windows", str(windows), "--out", str(out)])
+    assert code == cli.EXIT_DATA
+    assert f"windows.csv:2: window {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("window, message", [
+    ("nan:3", "bounds must be finite"),
+    ("0:inf", "bounds must be finite"),
+    ("-inf:1", "bounds must be finite"),
+    ("5:2", "end must exceed start"),
+])
+def test_rate_window_that_is_no_window_is_usage_error(tmp_path, capsys, window, message):
+    seg = tmp_path / "x.csv"
+    seg.write_text("onset_ms,offset_ms,label\n10,20,vot\n20,80,vowel\n")
+    out = tmp_path / "rates.csv"
+    assert cli.main(["rate", str(seg), f"--window={window}", "--out", str(out)]) == cli.EXIT_USAGE
+    assert f"--window {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_with_fewer_epochs_than_the_default_patience(tmp_path):
+    # No patience given: the default is cut to the epoch count.
+    corpus = tmp_path / "corpus"
+    assert cli.main(["synth", "--out-dir", str(corpus), "--trials", "3", "--split", "0.5,0.5,0",
+                     "--min-syllables", "3", "--max-syllables", "3"]) == cli.EXIT_OK
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": TINY_LSTM.to_dict()}))
+    out = tmp_path / "out"
+    assert TrainConfig.patience > 2
+    assert cli.main(["train", "--manifest", str(corpus / "manifest.csv"), "--out-dir", str(out),
+                     "--config", str(config), "--epochs", "2", "--batch-size", "4", "--no-augment"]) == cli.EXIT_OK
+    assert len((out / "train_log.csv").read_text().splitlines()) == 3
+
+
 @pytest.mark.parametrize("train, flags, message", [
     ({"batch_size": 0}, [], "batch_size must be >= 1"),
     ({"patience": 99}, [], "patience cannot exceed max_epochs"),

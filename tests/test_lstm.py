@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -105,3 +107,40 @@ def test_cache_free_path_across_projection_blocks(rng):
     lstm = nn.BiLSTM(3, 4, rng=rng, dtype=np.float64)
     x = rng.standard_normal((2, 2 * PROJ_BLOCK + 3, 3))
     np.testing.assert_allclose(lstm.forward(x), lstm.forward(x, train=True), rtol=0, atol=1e-12)
+
+
+def test_train_cache_is_input_gates_and_cells(rng):
+    # Backward rebuilds each hidden state as forward made it, from the
+    # output gate and the cell; nothing else is kept.
+    batch, t_len, hid = 3, 2 * PROJ_BLOCK + 3, 4
+    lstm = nn.BiLSTM(5, hid, rng=rng, dtype=np.float32)
+    x = rng.standard_normal((batch, t_len, 5)).astype(np.float32)
+    out = lstm.forward(x, train=True)
+    cached_x, gates, cells = lstm._cache
+    assert cached_x is x
+    assert gates.shape == (t_len, 4, 2, batch, hid)
+    assert cells.shape == (t_len + 1, 2, batch, hid)
+    np.testing.assert_array_equal(cells[0], 0.0)
+    # Step by step, as backward computes it: (time, direction, batch, H).
+    rebuilt = np.stack([gates[t, 2] * np.tanh(cells[t + 1]) for t in range(t_len)])
+    np.testing.assert_array_equal(rebuilt[:, 0].transpose(1, 0, 2), out[:, :, :hid])
+    np.testing.assert_array_equal(rebuilt[::-1, 1].transpose(1, 0, 2), out[:, :, hid:])
+
+
+def test_train_forward_transient_does_not_grow_with_length():
+    # Beyond what it returns and caches, a train forward allocates
+    # block-sized buffers only: both directions project PROJ_BLOCK steps
+    # at a time, and it keeps no hidden state past its block.
+    batch, inp, hid = 4, 16, 32
+    block_bytes = batch * PROJ_BLOCK * 4 * hid * 4
+    for t_len in (300, 1200):
+        lstm = nn.BiLSTM(inp, hid, rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((batch, t_len, inp)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = lstm.forward(x, train=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = out.nbytes + sum(a.nbytes for a in lstm._cache[1:])
+        assert peak - kept < 3 * block_bytes, t_len

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import SMALL_LSTM, TINY_CNN, TINY_LSTM, held, set_cpus, step_inputs
 
-from ddkseg.models import Segmenter
+from ddkseg.models import ModelConfig, Segmenter
 from ddkseg.nn import Layer
 from ddkseg.postproc import N_CLASSES
 
@@ -49,6 +49,25 @@ def test_small_lstm_step_traced_peak(monkeypatch):
                 tracemalloc.stop()
         assert peak < 16e6, (cpus, stall)
         assert current <= sum(g.nbytes for g in grads.values()) + 16_000, (cpus, stall)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_default_lstm_step_traced_peak(monkeypatch, cpus):
+    # One default-config batch-4 step traces 84 MB at peak (numpy 2.4),
+    # inside the second BiLSTM's backward. With full-sequence projection
+    # temporaries and every hidden state cached, it traced 99.7 MB, inside
+    # that BiLSTM's train forward.
+    set_cpus(monkeypatch, cpus)
+    model = Segmenter(ModelConfig(), seed=0)
+    x, y = step_inputs(4)
+    model.loss_and_grads(x, y, rng=np.random.default_rng(1))  # first-call allocations
+    tracemalloc.start()
+    try:
+        model.loss_and_grads(x, y, rng=np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 90e6
 
 
 def _stall_helper_in_backward(monkeypatch):
