@@ -14,8 +14,8 @@ Cache contract: forward(x, train=True) is the training path and keeps
 what backward() needs, in its smallest exact form: the conv's padded
 input, batchnorm's normalized input, leaky ReLU's and dropout's bool
 masks, the linear input, and the BiLSTM's input, gate outputs and cells
-(see ddkseg.nn.lstm). A
-cache may reference x itself, so x must not change before backward().
+(see ddkseg.nn.lstm). A cache may reference x itself, so x must not
+change before backward().
 backward() takes the cache and drops it, so each cache lives from its
 train forward until its own backward and no longer: a layer runs backward
 once per train forward (a second backward, or one after an eval forward,

@@ -17,20 +17,19 @@ its output (s * (1 - s) for a sigmoid), so it needs no halving.
 
 The input projection is computed PROJ_BLOCK steps at a time, and the
 hidden states of one block at a time are kept, each block's written
-straight into the (batch, time, 2H) output. At inference each block is
-projected just before its steps run. In training every block is projected
-before the loop, straight into the gate cache, and backward() gets the
-input x (by reference), every step's gate outputs (written over the
-projection they were computed from) and every step's cell. It recomputes
-tanh(cell) with the same np.tanh rather than keeping it, and from it each
-step's hidden state, go * tanh(cell), as forward computed it, for the
-recurrent weights' gradient. It reads dout one step at a time, and writes
-each step's gate gradients over that step's spent gate outputs rather than
-into a second (time, batch, 2, 4H) array. Inside a Segmenter.loss_and_grads
-step with a helper thread, the helper computes the backward direction's
-input projection, and in backward() the recurrent weights' and biases'
-gradients beside the input gradient, then the input weights' (see
-ddkseg.nn.layers).
+straight into the (batch, time, 2H) output. Each block is projected just
+before its steps run; in training straight into the gate cache, and
+backward() gets the input x (by reference), every step's gate outputs
+(written over the projection they were computed from) and every step's
+cell. It recomputes tanh(cell) with the same np.tanh rather than keeping
+it, and from it each step's hidden state, go * tanh(cell), as forward
+computed it, for the recurrent weights' gradient. It reads dout one step
+at a time, and writes each step's gate gradients over that step's spent
+gate outputs rather than into a second (time, batch, 2, 4H) array. Inside
+a Segmenter.loss_and_grads step with a helper thread, the helper computes
+the backward direction's input projection, and in backward() the recurrent
+weights' and biases' gradients beside the input gradient, then the input
+weights' (see ddkseg.nn.layers).
 """
 
 from __future__ import annotations
@@ -78,19 +77,11 @@ class BiLSTM(Layer):
         # hidden[0] is the state carried into the block, hidden[j + 1] step j's output.
         hidden = np.zeros((block + 1, 2, batch, hid), dtype=x.dtype)
         cell = np.zeros((2, batch, hid), dtype=x.dtype)
+        # In training proj is the gate cache: proj[t] holds step t's
+        # projection until the step overwrites it with its gate outputs.
+        proj = np.empty((t_len if train else block, 4, 2, batch, hid), dtype=x.dtype)
         if train:
-            # Projected whole before the loop, a block at a time; proj[t] is
-            # overwritten by step t's gate outputs once the step has read it.
-            # In a training step with a helper thread, it projects the
-            # backward direction while this thread projects the forward one.
-            proj = np.empty((t_len, 4, 2, batch, hid), dtype=x.dtype)
             cells = np.zeros((t_len + 1, 2, batch, hid), dtype=x.dtype)  # cells[t + 1] after step t
-            self._later(functools.partial(_project, x[:, ::-1], w_ih[1],
-                                          np.empty((batch, block, 4 * hid), dtype=x.dtype), proj[:, :, 1]))
-            _project(x, w_ih[0], None, proj[:, :, 0])
-            self._wait()
-        else:
-            proj = np.empty((block, 4, 2, batch, hid), dtype=x.dtype)
         zb = np.empty((2, batch, 4 * hid), dtype=x.dtype)  # recurrent matmul output
         zb_gates = zb.reshape(2, batch, 4, hid).transpose(2, 0, 1, 3)
         z = np.empty((4, 2, batch, hid), dtype=x.dtype)
@@ -102,14 +93,11 @@ class BiLSTM(Layer):
             k = min(block, t_len - s0)
             fw_times = slice(s0, s0 + k)
             bw_times = slice(t_len - s0 - k, t_len - s0)  # read last to first below
-            if train:
-                steps = proj[fw_times]
-            else:
-                steps = proj[:k]
-                bw_proj = np.empty((batch, k, 4 * hid), dtype=x.dtype)
-                self._later(functools.partial(_project, x[:, bw_times][:, ::-1], w_ih[1], bw_proj, steps[:, :, 1]))
-                _project(x[:, fw_times], w_ih[0], None, steps[:, :, 0])
-                self._wait()
+            steps = proj[fw_times] if train else proj[:k]
+            bw_proj = np.empty((batch, k, 4 * hid), dtype=x.dtype)
+            self._later(functools.partial(_project, x[:, bw_times][:, ::-1], w_ih[1], bw_proj, steps[:, :, 1]))
+            _project(x[:, fw_times], w_ih[0], None, steps[:, :, 0])
+            self._wait()
             steps += bias
             for j in range(k):
                 np.matmul(hidden[j], w_hh_t, out=zb)
@@ -147,8 +135,9 @@ class BiLSTM(Layer):
         upstream = np.empty((3, 2, batch, hid), dtype=dout.dtype)
         tc = np.empty_like(cells[0])  # tanh(cell) after step t
         # hs[d, t]: the hidden state direction d carried into step t (zero at
-        # t = 0), rebuilt from step t - 1's gates and cell as forward made it.
-        hs = np.zeros((2, t_len, batch, hid), dtype=x.dtype)
+        # t = 0), rebuilt from step t - 1's gates and cell as forward made it;
+        # hs[:, t_len], the last output, is written but never read.
+        hs = np.zeros((2, t_len + 1, batch, hid), dtype=x.dtype)
         # Upstream gradient per step, views of dout: the backward direction's read last to first.
         dout_fw = dout[:, :, :hid].transpose(1, 0, 2)
         dout_bw = dout[:, ::-1, hid:].transpose(1, 0, 2)
@@ -158,8 +147,7 @@ class BiLSTM(Layer):
         for t in range(t_len - 1, -1, -1):
             gi, gf, go, gg = gates[t]
             np.tanh(cells[t + 1], out=tc)
-            if t + 1 < t_len:
-                np.multiply(go, tc, out=hs[:, t + 1])
+            np.multiply(go, tc, out=hs[:, t + 1])
             dh_fw += dout_fw[t]
             dh_bw += dout_bw[t]
             dc += dh * go * (1.0 - tc * tc)
@@ -183,7 +171,7 @@ class BiLSTM(Layer):
 
         def recurrent_grads():
             for d, direction in enumerate(("fw", "bw")):
-                np.matmul(dz2[d].T, hs[d].reshape(t_len * batch, hid), out=grads[f"{direction}_w_hh"])
+                np.matmul(dz2[d].T, hs[d, :t_len].reshape(t_len * batch, hid), out=grads[f"{direction}_w_hh"])
                 np.sum(dz2[d], axis=0, out=grads[f"{direction}_b"])
 
         self._later(recurrent_grads)
@@ -210,10 +198,6 @@ class BiLSTM(Layer):
 
 def _project(xs, w_ih, out, dest):
     """dest[time, gate, batch, :] = (xs @ w_ih.T) of xs (batch, time, I),
-    PROJ_BLOCK steps at a time, by way of the (batch, PROJ_BLOCK or fewer,
-    4H) array out (allocated for each block if None)."""
-    for s0 in range(0, xs.shape[1], PROJ_BLOCK):
-        xb = xs[:, s0:s0 + PROJ_BLOCK]
-        k = xb.shape[1]
-        r = np.matmul(xb, w_ih.T, out=None if out is None else out[:, :k])
-        dest[s0:s0 + k] = r.reshape(r.shape[0], k, 4, -1).transpose(1, 2, 0, 3)
+    by way of the (batch, time, 4H) array out (allocated if None)."""
+    r = np.matmul(xs, w_ih.T, out=out)
+    dest[...] = r.reshape(r.shape[0], r.shape[1], 4, -1).transpose(1, 2, 0, 3)

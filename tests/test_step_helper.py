@@ -77,11 +77,12 @@ def test_training_does_not_depend_on_cpu_count(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("failing", [0, 4], ids=["forward_job", "backward_job"])
+@pytest.mark.parametrize("failing", [0, 18], ids=["forward_job", "backward_job"])
 def test_error_in_a_job_reaches_the_caller(monkeypatch, cpus, failing):
     # TINY_LSTM's jobs, in order: the two BiLSTMs' projections in the
-    # forward, then in the backward the weight gradients of Linear, Linear,
-    # each BiLSTM's recurrent then input weights, and the two convs.
+    # forward, one per PROJ_BLOCK block (8 each at T = 1000), then in the
+    # backward the weight gradients of Linear, Linear, each BiLSTM's
+    # recurrent then input weights, and the two convs.
     set_cpus(monkeypatch, cpus)
     model = Segmenter(TINY_LSTM, seed=1)
     x, y = step_inputs(2)
