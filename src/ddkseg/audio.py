@@ -4,8 +4,9 @@ Audio is carried as float64 mono samples in [-1.0, 1.0). The model rate is
 16 kHz: at that rate one 1 ms label frame corresponds to 16 samples, which
 is what the rest of the pipeline assumes.
 
-The models train and run on WINDOW_MS (1 s) windows; at inference cut_windows
-starts one every HOP_MS (800 ms) and stitch_predictions merges their frames.
+The models train and run on WINDOW_MS (1 s) windows. At inference
+cut_windows starts one every HOP_MS (800 ms), and the last one ends at the
+signal's last whole frame; frame_owners gives each frame to one window.
 """
 
 from __future__ import annotations
@@ -140,23 +141,20 @@ def resample(wave: Waveform, target_hz: int) -> Waveform:
 def cut_windows(wave: Waveform) -> list[tuple[int, Waveform]]:
     """Cut a model-rate waveform into (start_ms, window) pairs.
 
-    Starts advance by HOP_MS until a window reaches the end of the signal,
-    so the windows cover it whole (a signal no longer than WINDOW_MS gets
-    one window). The last window may be shorter than WINDOW_MS. Each
-    window's samples are a view of wave's, not a copy.
+    A signal of at least WINDOW_MS whole frames gets only full windows:
+    one every HOP_MS while it ends before the last whole frame, then one
+    that ends there (its samples past that frame are left out). A shorter
+    signal gets one window, the whole signal, or none if it has no whole
+    frame. Each window's samples are a view of wave's, not a copy.
     """
     if wave.sample_rate_hz != MODEL_RATE_HZ:
         raise ValueError(f"cut_windows expects {MODEL_RATE_HZ} Hz audio, got {wave.sample_rate_hz}")
-    total_ms = wave.duration_ms
-    starts = [0] if total_ms > 0 else []
-    while starts and starts[-1] + WINDOW_MS < total_ms:
-        starts.append(starts[-1] + HOP_MS)
-    out = []
-    for start_ms in starts:
-        lo = start_ms * SAMPLES_PER_MS
-        hi = min((start_ms + WINDOW_MS) * SAMPLES_PER_MS, len(wave.samples))
-        out.append((start_ms, Waveform(wave.samples[lo:hi], MODEL_RATE_HZ)))
-    return out
+    covered_ms = len(wave.samples) // SAMPLES_PER_MS
+    if covered_ms < WINDOW_MS:
+        return [(0, wave)] if covered_ms else []
+    starts = [*range(0, covered_ms - WINDOW_MS, HOP_MS), covered_ms - WINDOW_MS]
+    return [(start, Waveform(wave.samples[start * SAMPLES_PER_MS:(start + WINDOW_MS) * SAMPLES_PER_MS],
+                             MODEL_RATE_HZ)) for start in starts]
 
 
 def frame_owners(windows: list[tuple[int, int]], total_ms: int) -> np.ndarray:

@@ -154,10 +154,9 @@ def cmd_train(args) -> int:
     splits = load_manifest(args.manifest)
     if not splits["train"] or not splits["val"]:
         raise DataError(f"{args.manifest}: needs non-empty train and val splits")
-    result = train_model(splits["train"], splits["val"], model_cfg, train_cfg)
-
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)  # before training, so a bad path fails fast
+    result = train_model(splits["train"], splits["val"], model_cfg, train_cfg)
     ckpt = out_dir / "checkpoint.npz"
     save_checkpoint(ckpt, result.model,
                     meta={"best_epoch": result.best_epoch, "best_val_acc": result.best_val_acc,
@@ -169,7 +168,13 @@ def cmd_train(args) -> int:
 
 def cmd_segment(args) -> int:
     """Segment every readable input; an unreadable one is reported on stderr
-    and skipped, and the command exits 2 once all inputs were tried."""
+    and skipped, and the command exits 2 once all inputs were tried. Two
+    inputs that would write one output name are a usage error."""
+    by_stem = {}
+    for wav_path in sorted(args.inputs):
+        first = by_stem.setdefault(Path(wav_path).stem, wav_path)
+        if first != wav_path:
+            raise ConfigError(f"{first} and {wav_path} would both write {Path(wav_path).stem}.csv")
     model, _ = load_checkpoint(args.checkpoint)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -323,7 +328,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"ddkseg: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except OSError as exc:
         print(f"ddkseg: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - safety net

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .audio import MODEL_RATE_HZ, SAMPLES_PER_MS, WINDOW_MS, Waveform, cut_windows, frame_owners, resample
+from .audio import MODEL_RATE_HZ, SAMPLES_PER_MS, Waveform, cut_windows, frame_owners, resample
 from .errors import ConfigError, DataError, InternalError
 from .nn.layers import LEAKY_SLOPE
 from .postproc import LABEL_NAMES, N_CLASSES
@@ -328,7 +328,9 @@ class Segmenter:
 
 
 def predict_window(model: Segmenter, window: Waveform) -> FramePrediction:
-    """Per-frame labels for one analysis window (eval mode).
+    """Per-frame labels for one analysis window (eval mode): the per-window
+    reference that predict_file's stacked and cropped forwards are tested
+    against. predict_file itself does not call it.
 
     Windows shorter than the receptive field are zero-padded on the right
     and flagged; predictions are still cropped to floor(samples / 16).
@@ -358,15 +360,18 @@ def _window_probs(model: Segmenter, x: np.ndarray, keep: tuple[int, int] | None 
 def predict_file(model: Segmenter, wave: Waveform) -> FramePrediction:
     """Resample, window, classify, and stitch a whole recording.
 
-    Stitching gives each frame to one window (audio.frame_owners), so each
-    window owns one contiguous span of frames (cut_windows' starts and ends
-    both increase). The output is the owned spans' probabilities,
-    concatenated in window order, and their argmax.
+    cut_windows gives a file of 1 s or more only full (1 s) windows, the
+    last ending at the last whole frame, and a shorter file one window,
+    the whole file. Stitching gives each frame to one window
+    (audio.frame_owners), so each window owns one contiguous span of
+    frames (the windows' starts and ends both increase). The output is the
+    owned spans' probabilities, concatenated in window order, and their
+    argmax.
 
-    The full-length (1 s) windows run as jobs on _Helpers. A job is one
-    forward of a stack of windows (a one-window job passes a view of the
-    samples, not a copy), and it stores each window's owned span under the
-    window's index, so the output is bit-identical whatever the thread count.
+    Every window runs as a job on _Helpers. A job is one forward of a
+    stack of windows (a one-window job passes a view of the samples, not a
+    copy), and it stores each window's owned span under the window's
+    index, so the output is bit-identical whatever the thread count.
     An LSTM model stacks WINDOWS_PER_FORWARD windows per job, so each step
     of the recurrence serves them all, and slices the spans from the output.
     Its jobs run on the calling thread alone: stacks of 4 on two threads
@@ -382,57 +387,53 @@ def predict_file(model: Segmenter, wave: Waveform) -> FramePrediction:
     overlap; BLAS stays on whatever thread count its environment sets.
     Stacking changes the probabilities by float32 rounding only.
 
-    The short tail window, if any, goes whole and alone through
-    predict_window on the calling thread, so it is never zero-padded to a
-    full window (the backward LSTM direction would read that padding). All
-    forwards are eval-mode and keep no state. When rounding puts
-    duration_ms (the output length) one past the last full frame, the final
-    frame repeats the last prediction.
+    Windows shorter than the receptive field (only a short file's sole
+    window, unless the field is longer than WINDOW_MS) are zero-padded on
+    the right, and the result is flagged padded. All forwards are
+    eval-mode and keep no state. When rounding puts duration_ms (the
+    output length) one past the last whole frame, the final frame repeats
+    the last prediction.
     """
     wave16 = resample(wave, MODEL_RATE_HZ)
     duration_ms = wave16.duration_ms
-    covered_ms = len(wave16.samples) // SAMPLES_PER_MS
-    if covered_ms == 0:
-        # No full frame (or no audio): nothing to classify, call it background.
+    windows = cut_windows(wave16)
+    if not windows:
+        # No whole frame (or no audio): nothing to classify, call it background.
         labels = np.zeros(duration_ms, dtype=np.int8)
         probs = np.full((duration_ms, N_CLASSES), 1.0 / N_CLASSES, dtype=np.float32)
         return FramePrediction(labels, probs, padded=duration_ms > 0)
 
-    windows = cut_windows(wave16)
+    covered_ms = len(wave16.samples) // SAMPLES_PER_MS
     owner = frame_owners([(start, len(w) // SAMPLES_PER_MS) for start, w in windows], covered_ms)
     if (owner < 0).any():
         raise InternalError(f"stitch left {np.sum(owner < 0)} frames uncovered")
     # Owners never decrease along the file, so window i owns [edges[i], edges[i + 1]).
     edges = np.searchsorted(owner, np.arange(len(windows) + 1)).tolist()
     spans = [(edges[i] - start, edges[i + 1] - start) for i, (start, _) in enumerate(windows)]
-    # Only the last window can be short. Full ones need no padding unless
-    # the receptive field is longer than a window.
-    full_samples = WINDOW_MS * SAMPLES_PER_MS
     rf = model.cfg.receptive_field_samples()
-    n_full = sum(len(w) == full_samples and len(w) >= rf for _, w in windows)
+    padded = len(windows[0][1]) < rf  # all windows have one length, or there is one
     lstm = bool(model.cfg.lstm_layers)
     per_job = WINDOWS_PER_FORWARD if lstm else 1
     owned = [None] * len(windows)  # probabilities of the frames each window owns
 
     def run(lo):
-        group = range(lo, min(lo + per_job, n_full))
+        group = range(lo, min(lo + per_job, len(windows)))
         stack = [windows[i][1].samples for i in group]
+        if padded:
+            stack = [np.concatenate([w, np.zeros(rf - len(w))]) for w in stack]
         x = stack[0][None, None, :] if len(stack) == 1 else np.stack(stack)[:, None, :]
         probs = _window_probs(model, x, keep=None if lstm else spans[lo])
         for i, p in zip(group, probs):
             owned[i] = p[slice(*spans[i])] if lstm else p
 
-    with _Helpers(1 if lstm else n_full) as helpers:
-        for lo in range(0, n_full, per_job):
+    with _Helpers(1 if lstm else len(windows)) as helpers:
+        for lo in range(0, len(windows), per_job):
             helpers.submit(functools.partial(run, lo))
         helpers.help()
-    tails = [predict_window(model, w) for _, w in windows[n_full:]]
-    for i, pred in enumerate(tails, n_full):
-        owned[i] = pred.probs[slice(*spans[i])]
-    if duration_ms > covered_ms:  # one frame at most: the last full one's, again
-        owned.append(owned[owner[-1]][-1:])
+    if duration_ms > covered_ms:  # one frame at most: the last whole one's, again
+        owned.append(owned[-1][-1:])
     probs = np.concatenate(owned)
-    return FramePrediction(np.argmax(probs, axis=1).astype(np.int8), probs, padded=any(p.padded for p in tails))
+    return FramePrediction(np.argmax(probs, axis=1).astype(np.int8), probs, padded=padded)
 
 
 def _usable_cpus() -> int:

@@ -70,19 +70,6 @@ def group_frames(frames: np.ndarray) -> list[Segment]:
     return [Segment(int(lo), int(hi), int(frames[lo])) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def rasterize(segments: list[Segment], total_ms: int) -> np.ndarray:
-    """Inverse of group_frames: paint segments onto a label array.
-
-    Frames not covered by any segment default to OTHER, so sequences that
-    carry only speech segments (e.g. loaded from CSV) rasterize correctly
-    against the known audio duration.
-    """
-    frames = np.full(total_ms, OTHER, dtype=np.int8)
-    for seg in segments:
-        frames[seg.onset_ms:min(seg.offset_ms, total_ms)] = seg.label
-    return frames
-
-
 def _merge_adjacent(segments: list[Segment]) -> list[Segment]:
     out: list[Segment] = []
     for seg in segments:

@@ -163,11 +163,15 @@ def test_resample_alignment_with_analytic_sine():
 
 
 def test_cut_windows_starts():
-    # 1000 ms windows every 800 ms; starts stop with the first window
-    # reaching the end of the signal.
+    # 1000 ms windows every 800 ms while a window ends before the last
+    # whole frame, then one that ends there; a shorter signal is one window.
     assert (audio.WINDOW_MS, audio.HOP_MS) == (1000, 800)
-    for total, starts in [(2500, [0, 800, 1600]), (1000, [0]), (600, [0]), (0, [])]:
-        assert [s for s, _ in cut_windows(Waveform(np.zeros(total * 16), MODEL_RATE_HZ))] == starts
+    for total, starts in [(2500, [0, 800, 1500]), (1800, [0, 800]), (1001, [0, 1]),
+                          (1000, [0]), (600, [0]), (0, [])]:
+        wins = cut_windows(Waveform(np.zeros(total * 16 + 7), MODEL_RATE_HZ))
+        assert [s for s, _ in wins] == starts
+        full = [16000] * len(starts) if total >= 1000 else [total * 16 + 7][:len(starts)]
+        assert [len(w) for _, w in wins] == full
 
 
 @pytest.mark.parametrize("total,window,hop", [(2500, 1000, 800), (3100, 1000, 1000),
@@ -180,7 +184,9 @@ def test_cut_windows_cover_signal(monkeypatch, total, window, hop):
     wins = cut_windows(wave)
     starts = [s for s, _ in wins]
     assert starts[0] == 0
-    assert all(b - a == hop for a, b in zip(starts, starts[1:]))
+    assert all(b - a == hop for a, b in zip(starts, starts[1:-1]))
+    assert all(0 < b - a <= hop for a, b in zip(starts[-2:-1], starts[-1:]))
+    assert all(w.duration_ms == min(window, total) for _, w in wins)
     covered = np.zeros(total, dtype=bool)
     for start, w in wins:
         covered[start:start + w.duration_ms] = True
@@ -198,6 +204,33 @@ def test_cut_windows_are_views():
 
 def test_cut_windows_empty():
     assert cut_windows(Waveform(np.zeros(0), MODEL_RATE_HZ)) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(covered_ms=st.integers(0, 20_000), extra=st.integers(0, 15))
+def test_window_plan(covered_ms, extra):
+    # The plan predict_file runs: full windows once there are WINDOW_MS
+    # whole frames, increasing starts, the last window ending at the last
+    # whole frame, and one contiguous, non-empty owned span per window (the
+    # CNN's keep= raises ValueError on an empty one).
+    wave = Waveform(np.linspace(-0.5, 0.5, covered_ms * 16 + extra), MODEL_RATE_HZ)
+    wins = cut_windows(wave)
+    starts = [s for s, _ in wins]
+    if covered_ms >= audio.WINDOW_MS:
+        assert all(len(w) == audio.WINDOW_MS * 16 for _, w in wins)
+    else:
+        assert [len(w) for _, w in wins] == ([len(wave)] if covered_ms else [])
+    if not wins:
+        return
+    assert all(a < b for a, b in zip(starts, starts[1:]))
+    assert starts[-1] + len(wins[-1][1]) // 16 == covered_ms
+    for start, w in wins:
+        assert np.shares_memory(w.samples, wave.samples)
+        np.testing.assert_array_equal(w.samples, wave.samples[start * 16:start * 16 + len(w)])
+    owner = frame_owners([(s, len(w) // 16) for s, w in wins], covered_ms)
+    assert (owner >= 0).all()
+    assert (np.diff(owner) >= 0).all()
+    np.testing.assert_array_equal(np.unique(owner), np.arange(len(wins)))
 
 
 @st.composite

@@ -232,6 +232,41 @@ def test_segment_zero_rate_input_exits_2(tmp_path, capsys, tiny_checkpoint):
     assert "b_0hz.wav: sample rate is 0 Hz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["segment", "synth", "rate", "eval"])
+def test_output_path_under_a_regular_file_exits_2(tmp_path, capsys, tiny_checkpoint, command):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    wav, seg = tmp_path / "a.wav", tmp_path / "a.csv"
+    write_wav(wav, Waveform(np.zeros(4000), 16000))
+    seg.write_text("onset_ms,offset_ms,label\n10,20,vot\n20,80,vowel\n")
+    out = str(blocker / "out")
+    argv = {"segment": ["segment", str(wav), "--checkpoint", str(tiny_checkpoint), "--out-dir", out],
+            "synth": ["synth", "--out-dir", out, "--trials", "2"],
+            "rate": ["rate", str(seg), "--out", out],
+            "eval": ["eval", "--pred", str(seg), "--target", str(seg), "--out", out]}[command]
+    assert cli.main(argv) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "blocker" in err
+    assert "internal error" not in err
+
+
+def test_segment_inputs_with_one_output_name_are_usage_error(tmp_path, capsys, monkeypatch, tiny_checkpoint):
+    for d in ("a", "b"):
+        (tmp_path / d).mkdir()
+        write_wav(tmp_path / d / "x.wav", Waveform(np.zeros(4000), 16000))
+
+    def read_wav(path):
+        raise AssertionError(f"read {path} before checking the output names")
+
+    monkeypatch.setattr(cli, "read_wav", read_wav)
+    out = tmp_path / "out"
+    a, b = tmp_path / "a" / "x.wav", tmp_path / "b" / "x.wav"
+    code = cli.main(["segment", str(b), str(a), "--checkpoint", str(tiny_checkpoint), "--out-dir", str(out)])
+    assert code == cli.EXIT_USAGE
+    assert f"{a} and {b} would both write x.csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @settings(max_examples=60, deadline=None)
 @given(blob=st.one_of(st.binary(max_size=300),
                       st.binary(max_size=300).map(lambda b: b"RIFF" + b[:4] + b"WAVE" + b[4:])))

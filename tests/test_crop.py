@@ -105,8 +105,9 @@ def test_conv_explicit_padding(rng, pad):
                                rtol=0, atol=1e-12)
 
 
-# Windows are 1000 ms every 800 ms: 800k + 200 ms holds k full windows and
-# nothing else, 800k + 600 ms k full windows and a 400 ms tail.
+# Windows are 1000 ms every 800 ms, the last one ending at the last whole
+# frame: 800k + 200 ms holds k windows on the 800 ms grid, 800k + 600 ms
+# those and one more at 800k - 400 ms. All are full.
 @pytest.mark.parametrize("full", [1, 2, 5, 13])
 @pytest.mark.parametrize("tail", [False, True])
 def test_cropped_predict_file_matches_full_windows(cnn_model, full, tail):
@@ -114,8 +115,8 @@ def test_cropped_predict_file_matches_full_windows(cnn_model, full, tail):
     duration_ms = 800 * full + (600 if tail else 200)
     wave = Waveform(trial.samples[:duration_ms * SAMPLES_PER_MS + 7], MODEL_RATE_HZ)
     windows = cut_windows(wave)
-    assert sum(len(w) == 1000 * SAMPLES_PER_MS for _, w in windows) == full
-    assert len(windows) == full + tail
+    assert all(len(w) == 1000 * SAMPLES_PER_MS for _, w in windows)
+    assert [s for s, _ in windows] == list(range(0, 800 * full, 800)) + ([800 * full - 400] if tail else [])
 
     pred = predict_file(cnn_model, wave)
     labels, probs, _ = per_window_reference(cnn_model, wave)

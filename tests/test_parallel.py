@@ -38,8 +38,8 @@ def trial():
 
 
 def _wave(trial, full, tail):
-    # Windows are 1000 ms every 800 ms: 800k + 200 ms holds k full windows
-    # and nothing else, 800k + 600 ms k full windows and a 400 ms tail.
+    # Windows are 1000 ms every 800 ms, the last one ending at the last
+    # frame: 800k + 200 ms holds k full windows, 800k + 600 ms k + 1.
     duration_ms = 800 * full + (600 if tail else 200)
     wave = Waveform(trial[:duration_ms * SAMPLES_PER_MS], MODEL_RATE_HZ)
     assert len(cut_windows(wave)) == full + tail
@@ -63,7 +63,7 @@ def test_threaded_predict_file_is_bit_identical_to_one_thread(monkeypatch, cnn_m
         set_cpus(monkeypatch, cpus)
         started.clear()
         preds[cpus] = predict_file(cnn_model, wave)
-        assert len(started) == min(cpus, full) - 1
+        assert len(started) == min(cpus, full + tail) - 1
     for cpus in (2, 3):
         np.testing.assert_array_equal(preds[cpus].probs, preds[1].probs)
         np.testing.assert_array_equal(preds[cpus].labels, preds[1].labels)
@@ -71,11 +71,12 @@ def test_threaded_predict_file_is_bit_identical_to_one_thread(monkeypatch, cnn_m
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_lstm_stacks_run_on_the_calling_thread(monkeypatch, trial, cpus):
-    # 9 full windows and a tail: stacks of 4, 4 and 1 windows, the last a
-    # view of the file's samples, then the tail through predict_window.
+    # 9 full windows, the last ending at the last frame: stacks of 4, 4 and
+    # 1 windows, the last a view of the file's samples, and nothing through
+    # predict_window.
     model = Segmenter(TINY_LSTM, seed=1)
-    wave = _wave(trial, 9, True)
-    started, forwards, tails = [], [], []
+    wave = _wave(trial, 8, True)
+    started, forwards, window_calls = [], [], []
 
     class CountedThread(threading.Thread):
         def start(self):
@@ -87,7 +88,7 @@ def test_lstm_stacks_run_on_the_calling_thread(monkeypatch, trial, cpus):
         return original_forward(self, x, *args, **kwargs)
 
     def predict_window(model, window):
-        tails.append(len(window.samples))
+        window_calls.append(len(window.samples))
         return original_window(model, window)
 
     original_forward, original_window = Segmenter.forward, models.predict_window
@@ -96,10 +97,10 @@ def test_lstm_stacks_run_on_the_calling_thread(monkeypatch, trial, cpus):
     monkeypatch.setattr(models, "predict_window", predict_window)
     set_cpus(monkeypatch, cpus)
     predict_file(model, wave)
-    full, tail = 1000 * SAMPLES_PER_MS, 600 * SAMPLES_PER_MS
+    full = 1000 * SAMPLES_PER_MS
     assert started == []
-    assert forwards == [(4, full, False), (4, full, False), (1, full, True), (1, tail, True)]
-    assert tails == [tail]
+    assert forwards == [(4, full, False), (4, full, False), (1, full, True)]
+    assert window_calls == []
 
 
 def test_every_item_runs_once_under_frequent_thread_switches(monkeypatch):

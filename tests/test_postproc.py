@@ -6,12 +6,20 @@ from hypothesis import strategies as st
 from ddkseg.errors import DataError
 from ddkseg.postproc import (MAX_VOT_GAP_MS, MIN_VOT_MS, MIN_VOWEL_MS, OTHER, VOT, VOWEL, Segment,
                              apply_min_durations, group_frames, merge_vot_gaps, postprocess,
-                             rasterize, read_segments_csv, speech_segments, write_segments_csv,
-                             write_textgrid)
+                             read_segments_csv, speech_segments, write_segments_csv, write_textgrid)
 
 
 def seg(onset, offset, label):
     return Segment(onset, offset, label)
+
+
+def rasterize(segments: list[Segment], total_ms: int) -> np.ndarray:
+    """Inverse of group_frames: paint segments onto a label array. Frames
+    no segment covers are OTHER."""
+    frames = np.full(total_ms, OTHER, dtype=np.int8)
+    for s in segments:
+        frames[s.onset_ms:min(s.offset_ms, total_ms)] = s.label
+    return frames
 
 
 def oracle_postprocess(frames: np.ndarray) -> list[Segment]:

@@ -1,6 +1,7 @@
 """Invariants of predict_file: stacked full windows against the per-window
-reference, output length at every input rate, determinism, no backward
-caches left behind, and no state kept by any eval forward."""
+reference, full windows only for a file of a window or more, output length
+at every input rate, determinism, no backward caches left behind, and no
+state kept by any eval forward."""
 
 from pathlib import Path
 
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 from conftest import TINY_CNN, TINY_LSTM
 
-from ddkseg.audio import MODEL_RATE_HZ, SAMPLES_PER_MS, Waveform, cut_windows, resample, stitch_predictions
+from ddkseg import models
+from ddkseg.audio import (MODEL_RATE_HZ, SAMPLES_PER_MS, WINDOW_MS, Waveform, cut_windows, resample,
+                          stitch_predictions)
 from ddkseg.models import Segmenter, load_checkpoint, predict_file, predict_window
 from ddkseg.postproc import N_CLASSES
 from ddkseg.synth import TrialSpec, generate_trial
@@ -42,16 +45,18 @@ def long_trial():
     return wave.samples
 
 
-# Windows are 1000 ms every 800 ms: 800k + 200 ms holds k full windows and
-# nothing else, 800k + 600 ms k full windows and a 400 ms tail.
+# Windows are 1000 ms every 800 ms, the last one ending at the last frame:
+# 800k + 200 ms holds k windows on the 800 ms grid, 800k + 600 ms those and
+# one more at 800k - 400 ms; all are full. 600 ms alone is one short window.
 @pytest.mark.parametrize("full", [0, 1, 4, 5, 9])
 @pytest.mark.parametrize("tail", [False, True])
 def test_stacked_windows_match_per_window_reference(lstm_model, long_trial, full, tail):
     duration_ms = 800 * full + (600 if tail else 200) if full or tail else 0
     wave = Waveform(long_trial[:duration_ms * SAMPLES_PER_MS], MODEL_RATE_HZ)
     windows = cut_windows(wave)
-    assert sum(len(w) == 1000 * SAMPLES_PER_MS for _, w in windows) == full
-    assert len(windows) == full + tail
+    assert [len(w) for _, w in windows] == [1000 * SAMPLES_PER_MS if full else len(wave)] * (full + tail)
+    last = [800 * full - 400 if full else 0] if tail else []
+    assert [s for s, _ in windows] == list(range(0, 800 * full, 800)) + last
 
     pred = predict_file(lstm_model, wave)
     labels, probs, padded = per_window_reference(lstm_model, wave)
@@ -59,6 +64,26 @@ def test_stacked_windows_match_per_window_reference(lstm_model, long_trial, full
     np.testing.assert_array_equal(pred.labels, labels)
     np.testing.assert_allclose(pred.probs, probs, rtol=0, atol=1e-5)
     assert pred.padded == padded
+
+
+@pytest.mark.parametrize("cfg", [TINY_LSTM, TINY_CNN])
+@pytest.mark.parametrize("seconds", [1.0, 1.001, 1.8, 7.3])
+def test_files_of_a_window_or_more_run_full_windows_only(monkeypatch, long_trial, cfg, seconds):
+    def refuse(*args, **kwargs):
+        raise AssertionError("predict_file called predict_window")
+
+    def forward(self, x, *args, **kwargs):
+        lengths.append(x.shape[2])
+        return original_forward(self, x, *args, **kwargs)
+
+    lengths, original_forward = [], Segmenter.forward
+    monkeypatch.setattr(models, "predict_window", refuse)
+    monkeypatch.setattr(Segmenter, "forward", forward)
+    wave = Waveform(long_trial[:round(seconds * MODEL_RATE_HZ)], MODEL_RATE_HZ)
+    pred = predict_file(Segmenter(cfg, seed=1), wave)
+    assert len(pred) == wave.duration_ms
+    assert not pred.padded
+    assert lengths and set(lengths) == {WINDOW_MS * SAMPLES_PER_MS}
 
 
 @pytest.mark.parametrize("cfg", [TINY_LSTM, TINY_CNN])
