@@ -62,10 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--no-augment", action="store_true")
     p.add_argument("--config", default=None,
-                   help='JSON file {"model": {...}, "train": {...}}: "model" sets ModelConfig fields, "train" '
-                        'any of batch_size, lr, max_epochs, patience, augment (the seed comes from --seed). '
-                        'The 1 s analysis window (audio.WINDOW_MS) and the 3 labels (postproc.N_CLASSES) '
-                        'are fixed.')
+                   help='JSON file {"model": {...}, "train": {...}}: "model" sets ModelConfig fields over '
+                        'the --arch defaults, "train" any of batch_size, lr, max_epochs, patience, augment '
+                        '(the seed comes from --seed). The architecture follows lstm_layers (0 means cnn), '
+                        'and each conv\'s padding is derived from its kernel, stride and dilation. The 1 s '
+                        'analysis window (audio.WINDOW_MS) and the 3 labels (postproc.N_CLASSES) are fixed.')
 
     p = sub.add_parser("segment", help="predict segment CSVs for wav files")
     p.add_argument("inputs", nargs="+", metavar="WAV")
@@ -131,14 +132,11 @@ def _load_train_configs(args) -> tuple[ModelConfig, TrainConfig]:
              "lr": args.lr, "augment": False if args.no_augment else None}
     flags = {k: v for k, v in flags.items() if v is not None}
     try:
-        if "architecture" in model_over and model_over["architecture"] != args.arch:
-            raise ConfigError("config file architecture conflicts with --arch")
         unknown = set(train_over) - (set(TrainConfig.__dataclass_fields__) - {"seed"})
         if unknown:
             hint = " (set the seed with --seed)" if "seed" in unknown else ""
             raise ConfigError(f"unknown train config keys: {sorted(unknown)}{hint}")
         model_cfg = ModelConfig.from_dict({**base.to_dict(), **model_over})
-        model_cfg.validate()
         train = {**train_over, **flags, "seed": args.seed}
         if "patience" not in train and type(train.get("max_epochs")) is int:
             # The default patience, cut to an epoch count below it.

@@ -34,6 +34,16 @@ CHECKPOINT_VERSION = 1
 WINDOWS_PER_FORWARD = 4
 # Fields of version-1 checkpoints that no longer exist; neither changed the model.
 _RETIRED_CONFIG_KEYS = ("frame_rate_ms", "allow_custom_shapes")
+# Keys that version-1 checkpoints store but that no config sets: each is
+# accepted only at the value the model has anyway, for the reason given.
+_STORED_FIXED = {
+    "n_classes": (lambda cfg: N_CLASSES, f"one per label: {', '.join(LABEL_NAMES.values())}"),
+    "leaky_slope": (lambda cfg: LEAKY_SLOPE, "the slope of every LeakyReLU"),
+    "architecture": (lambda cfg: cfg.architecture,
+                     "which lstm_layers sets (a cnn architecture has no LSTM layers, "
+                     "an lstm architecture needs lstm_layers >= 1)"),
+    "conv_paddings": (lambda cfg: cfg.conv_paddings, "which each conv's kernel, stride and dilation set"),
+}
 
 
 @dataclass(frozen=True)
@@ -42,15 +52,17 @@ class ModelConfig:
     model, cnn_default() the default "cnn" model.
 
     The conv lists hold one entry per conv block, and their strides must
-    multiply to 16, one frame per ms at 16 kHz. "cnn" has no LSTM layers
-    (lstm_layers=0); "lstm" has at least one. The output layer has N_CLASSES units.
+    multiply to 16, one frame per ms at 16 kHz. Each conv's padding is not
+    set but derived (conv_paddings), so the stack gives every input of 16
+    samples or more at least one frame per ms. The architecture is not set
+    either: a model with LSTM layers is "lstm", one with lstm_layers=0 is
+    "cnn". The output layer has N_CLASSES units. A config is checked when
+    it is made, so an invalid one raises ConfigError and never exists.
     """
 
-    architecture: str = "lstm"
     conv_channels: tuple[int, ...] = (32, 64, 64, 128, 128)
     conv_kernels: tuple[int, ...] = (16, 5, 5, 3, 3)
     conv_strides: tuple[int, ...] = (4, 2, 2, 1, 1)
-    conv_paddings: tuple[int, ...] = (6, 2, 2, 1, 1)
     conv_dilations: tuple[int, ...] = (1, 1, 1, 1, 1)
     lstm_hidden: int = 128
     lstm_layers: int = 2
@@ -64,22 +76,19 @@ class ModelConfig:
     @classmethod
     def cnn_default(cls) -> "ModelConfig":
         return cls(
-            architecture="cnn",
             conv_channels=(32, 64, 64, 128, 128, 128, 128, 256, 256, 256),
             conv_kernels=(16, 5, 5, 3, 3, 3, 3, 3, 3, 3),
             conv_strides=(4, 2, 2, 1, 1, 1, 1, 1, 1, 1),
-            conv_paddings=(6, 2, 2, 2, 4, 8, 16, 32, 1, 1),
             conv_dilations=(1, 1, 1, 2, 4, 8, 16, 32, 1, 1),
             lstm_hidden=0,
             lstm_layers=0,
         )
 
-    def validate(self) -> None:
-        for name, low in (("conv_channels", 1), ("conv_kernels", 1), ("conv_strides", 1),
-                          ("conv_paddings", 0), ("conv_dilations", 1)):
+    def __post_init__(self):
+        for name in ("conv_channels", "conv_kernels", "conv_strides", "conv_dilations"):
             values = getattr(self, name)
-            if type(values) is not tuple or not all(type(v) is int and v >= low for v in values):
-                raise ConfigError(f"{name} must be a list of integers >= {low}, got {values!r}")
+            if type(values) is not tuple or not all(type(v) is int and v >= 1 for v in values):
+                raise ConfigError(f"{name} must be a list of integers >= 1, got {values!r}")
         for name, low in (("lstm_hidden", 0), ("lstm_layers", 0), ("fc_hidden", 1)):
             value = getattr(self, name)
             if not (type(value) is int and value >= low):
@@ -87,19 +96,27 @@ class ModelConfig:
         if not (type(self.dropout_p) in (int, float) and 0.0 <= self.dropout_p < 1.0):
             raise ConfigError(f"dropout_p must be a number in [0, 1), got {self.dropout_p!r}")
         n = len(self.conv_channels)
-        for name in ("conv_kernels", "conv_strides", "conv_paddings", "conv_dilations"):
+        for name in ("conv_kernels", "conv_strides", "conv_dilations"):
             if len(getattr(self, name)) != n:
                 raise ConfigError(f"{name} must have {n} entries to match conv_channels")
         stride_product = math.prod(self.conv_strides)
         if stride_product != SAMPLES_PER_MS:
             raise ConfigError(f"conv stride product must be {SAMPLES_PER_MS} "
                               f"(one frame per ms at {MODEL_RATE_HZ} Hz), got {stride_product}")
-        if self.architecture not in ("lstm", "cnn"):
-            raise ConfigError(f"unknown architecture {self.architecture!r}")
-        if self.architecture == "cnn" and self.lstm_layers != 0:
-            raise ConfigError(f"cnn architecture has no LSTM layers, got lstm_layers={self.lstm_layers}")
-        if self.architecture == "lstm" and (self.lstm_layers < 1 or self.lstm_hidden < 1):
-            raise ConfigError("lstm architecture needs lstm_layers >= 1 and lstm_hidden >= 1")
+        if self.lstm_layers and self.lstm_hidden < 1:
+            raise ConfigError("an lstm architecture (lstm_layers >= 1) needs lstm_hidden >= 1")
+
+    @property
+    def architecture(self) -> str:
+        return "lstm" if self.lstm_layers else "cnn"
+
+    @property
+    def conv_paddings(self) -> tuple[int, ...]:
+        """Each conv's zero padding per side: the least, ceil((dilation *
+        (kernel - 1) + 1 - stride) / 2), with which it gives at least
+        length // stride frames for an input of length >= stride frames."""
+        return tuple(max(0, (d * (k - 1) + 2 - s) // 2)
+                     for k, s, d in zip(self.conv_kernels, self.conv_strides, self.conv_dilations))
 
     def receptive_field_samples(self) -> int:
         rf, jump = 1, 1
@@ -109,22 +126,19 @@ class ModelConfig:
         return rf
 
     def to_dict(self) -> dict:
-        out = {k: list(v) if isinstance(v, tuple) else v for k, v in self.__dict__.items()}
-        return out
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in self.__dict__.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        data = {k: v for k, v in data.items() if k not in _RETIRED_CONFIG_KEYS}
-        if data.pop("n_classes", N_CLASSES) != N_CLASSES:  # version-1 checkpoints store it
-            raise ConfigError(f"n_classes must be {N_CLASSES}, one per label: {', '.join(LABEL_NAMES.values())}")
-        if data.pop("leaky_slope", LEAKY_SLOPE) != LEAKY_SLOPE:  # version-1 checkpoints store it
-            raise ConfigError(f"leaky_slope must be {LEAKY_SLOPE}, the slope of every LeakyReLU")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
+        data = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items() if k not in _RETIRED_CONFIG_KEYS}
+        unknown = set(data) - set(cls.__dataclass_fields__) - set(_STORED_FIXED)
         if unknown:
             raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        coerced = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
-        return cls(**coerced)
+        cfg = cls(**{k: v for k, v in data.items() if k not in _STORED_FIXED})
+        for key, (value_of, reason) in _STORED_FIXED.items():
+            if key in data and data[key] != value_of(cfg):
+                raise ConfigError(f"{key} must be {value_of(cfg)!r}, {reason}, got {data[key]!r}")
+        return cfg
 
 
 @dataclass
@@ -143,7 +157,6 @@ class Segmenter:
     """One of the two architectures, instantiated with concrete parameters."""
 
     def __init__(self, cfg: ModelConfig, seed: int = 0, dtype=np.float32):
-        cfg.validate()
         self.cfg = cfg
         self.dtype = dtype
         rng = np.random.default_rng(seed)
@@ -226,8 +239,6 @@ class Segmenter:
             z = self._cropped_conv(x, *keep)
         else:
             z = self.conv.forward(x, train=train, rng=rng)
-            if z.shape[2] < frames:
-                raise InternalError(f"conv stack produced {z.shape[2]} frames, expected >= {frames}")
             if train:
                 self._extra_frames = z.shape[2] - frames
             z = z[:, :, :frames]
@@ -271,8 +282,6 @@ class Segmenter:
             pad -= conv.padding
             reach -= conv.dilation * (conv.kernel - 1)
             length += 2 * conv.padding - conv.dilation * (conv.kernel - 1)
-        if length < hi:
-            raise InternalError(f"conv stack produced {length} frames, expected >= {hi}")
         return z[:, :, lo - offset:hi - offset]
 
     def backward(self, dlogits: np.ndarray) -> None:
@@ -551,6 +560,8 @@ def load_checkpoint(path) -> tuple[Segmenter, dict]:
                     raise DataError(f"{path}: shape mismatch for {k}: "
                                     f"{v.shape} stored vs {live[k].shape} expected")
                 live[k][...] = v
+                if not np.isfinite(live[k]).all():  # also a finite float64 past float32's range
+                    raise DataError(f"{path}: non-finite values in {k}")
     except (OSError, ValueError, KeyError, ConfigError) as exc:
         raise DataError(f"{path}: unreadable checkpoint ({exc})") from exc
     return model, header.get("meta", {})

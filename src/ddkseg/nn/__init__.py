@@ -7,13 +7,13 @@ Misuse (wrong shapes, labels out of range, non-finite gradients) raises
 ValueError.
 """
 
-from .adam import AdamState, adam_step, init_adam
+from .adam import AdamState, NonFiniteGradientError, adam_step, init_adam
 from .layers import BatchNorm1d, Conv1d, Dropout, Layer, LeakyReLU, Linear, Sequential
 from .loss import softmax_cross_entropy, softmax_probs
 from .lstm import BiLSTM
 
 __all__ = [
-    "AdamState", "adam_step", "init_adam",
+    "AdamState", "NonFiniteGradientError", "adam_step", "init_adam",
     "BatchNorm1d", "Conv1d", "Dropout", "Layer", "LeakyReLU", "Linear", "Sequential",
     "softmax_cross_entropy", "softmax_probs", "BiLSTM",
 ]

@@ -13,6 +13,10 @@ BETA2 = 0.999
 EPS = 1e-8
 
 
+class NonFiniteGradientError(ValueError):
+    """A gradient holds NaN or infinity, as one of a diverging run does."""
+
+
 @dataclass
 class AdamState:
     lr: float
@@ -37,7 +41,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
     for key, grad in grads.items():
         if key in params and not np.all(np.isfinite(grad)):
             bad = int(np.sum(~np.isfinite(grad)))
-            raise ValueError(
+            raise NonFiniteGradientError(
                 f"non-finite gradient for {key!r}: {bad}/{grad.size} entries at step {state.step_count + 1}")
 
     state.step_count += 1

@@ -1,12 +1,13 @@
 """Frame-wise training of the segmenter models.
 
-Each epoch re-augments every trial (one mode drawn per trial, see
-augment.augment_wave), skips a random 0 to SHIFT_SAMPLES - 1 samples at its
-start, cuts disjoint audio.WINDOW_MS windows (the length inference runs
-on), and minimizes class-weighted softmax cross-entropy with Adam. Class
-weights are inverse frequencies capped at CLASS_WEIGHT_CAP. The parameters
-with the best validation frame accuracy are kept; training stops early
-after `patience` epochs without improvement.
+Trials are resampled to the model's 16 kHz once. Each epoch re-augments
+every trial (one mode drawn per trial, see augment.augment_wave), skips a
+random 0 to SHIFT_SAMPLES - 1 samples at its start, cuts disjoint
+audio.WINDOW_MS windows (the length inference runs on), and minimizes
+class-weighted softmax cross-entropy with Adam. Class weights are inverse
+frequencies capped at CLASS_WEIGHT_CAP. The parameters with the best
+validation frame accuracy are kept; training stops early after `patience`
+epochs without improvement.
 """
 
 from __future__ import annotations
@@ -14,14 +15,14 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import nn
-from .audio import SAMPLES_PER_MS, WINDOW_MS
+from .audio import MODEL_RATE_HZ, SAMPLES_PER_MS, WINDOW_MS, resample
 from .augment import augment_wave
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .models import ModelConfig, Segmenter
 from .postproc import N_CLASSES, Segment
 from .synth import Trial
@@ -147,6 +148,9 @@ def train_model(train_trials: list[Trial], val_trials: list[Trial],
     if not val_trials:
         raise DataError("empty validation set")
 
+    # Windows and labels count SAMPLES_PER_MS samples per ms: the model's rate.
+    train_trials = [replace(t, wave=resample(t.wave, MODEL_RATE_HZ)) for t in train_trials]
+    val_trials = [replace(t, wave=resample(t.wave, MODEL_RATE_HZ)) for t in val_trials]
     model = Segmenter(model_cfg, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed + 1)  # augmentation, shifts, shuffling, dropout
     weights = class_weights(train_trials).astype(np.float64)
@@ -165,7 +169,10 @@ def train_model(train_trials: list[Trial], val_trials: list[Trial],
         for lo in range(0, len(order), cfg.batch_size):
             sel = order[lo:lo + cfg.batch_size]
             loss, grads = model.loss_and_grads(x[sel], y[sel], weights, rng=rng)
-            nn.adam_step(model.named_params(), grads, adam)
+            try:
+                nn.adam_step(model.named_params(), grads, adam)
+            except nn.NonFiniteGradientError as exc:
+                raise ConfigError(f"training diverged in epoch {epoch} ({exc}): lr {cfg.lr:g} is too large") from exc
             epoch_loss += loss * y[sel].size
             seen += y[sel].size
         train_loss = epoch_loss / seen

@@ -10,21 +10,18 @@ from ddkseg.postproc import N_CLASSES
 # Scaled-down clones of the two architectures (2 conv layers, stride
 # product still 16) for exhaustive finite-difference checks.
 TINY_LSTM = ModelConfig(
-    architecture="lstm", conv_channels=(3, 4), conv_kernels=(8, 5),
-    conv_strides=(4, 4), conv_paddings=(2, 2), conv_dilations=(1, 1),
+    conv_channels=(3, 4), conv_kernels=(8, 5), conv_strides=(4, 4), conv_dilations=(1, 1),
     lstm_hidden=5, lstm_layers=2, fc_hidden=6, dropout_p=0.0)
 
 TINY_CNN = ModelConfig(
-    architecture="cnn", conv_channels=(3, 4), conv_kernels=(8, 5),
-    conv_strides=(4, 4), conv_paddings=(2, 3), conv_dilations=(1, 2),
+    conv_channels=(3, 4), conv_kernels=(8, 5), conv_strides=(4, 4), conv_dilations=(1, 2),
     lstm_hidden=0, lstm_layers=0, fc_hidden=6, dropout_p=0.0)
 
 # Small but structurally valid (5 conv / 2 LSTM / 2 FC) variant for
 # fast training tests.
 SMALL_LSTM = ModelConfig(
-    architecture="lstm", conv_channels=(8, 12, 12, 16, 16),
-    conv_kernels=(16, 5, 5, 3, 3), conv_strides=(4, 2, 2, 1, 1),
-    conv_paddings=(6, 2, 2, 1, 1), conv_dilations=(1, 1, 1, 1, 1),
+    conv_channels=(8, 12, 12, 16, 16), conv_kernels=(16, 5, 5, 3, 3),
+    conv_strides=(4, 2, 2, 1, 1), conv_dilations=(1, 1, 1, 1, 1),
     lstm_hidden=16, lstm_layers=2, fc_hidden=16)
 
 

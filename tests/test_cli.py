@@ -97,6 +97,23 @@ def test_train_with_fewer_epochs_than_the_default_patience(tmp_path):
     assert len((out / "train_log.csv").read_text().splitlines()) == 3
 
 
+def test_train_that_diverges_is_usage_error(tmp_path, capsys):
+    # The first step's update leaves weights near 1e30, so the second
+    # step's gradients overflow.
+    corpus = tmp_path / "corpus"
+    assert cli.main(["synth", "--out-dir", str(corpus), "--trials", "4", "--split", "0.5,0.5,0"]) == cli.EXIT_OK
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": TINY_LSTM.to_dict()}))
+    out = tmp_path / "out"
+    code = cli.main(["train", "--manifest", str(corpus / "manifest.csv"), "--out-dir", str(out),
+                     "--config", str(config), "--lr", "1e30", "--epochs", "1", "--batch-size", "1", "--no-augment"])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "training diverged in epoch 1 (non-finite gradient for " in err
+    assert "lr 1e+30 is too large" in err
+    assert not (out / "checkpoint.npz").exists()
+
+
 @pytest.mark.parametrize("train, flags, message", [
     ({"batch_size": 0}, [], "batch_size must be >= 1"),
     ({"patience": 99}, [], "patience cannot exceed max_epochs"),
@@ -138,13 +155,14 @@ def test_train_config_of_wrong_json_shape_is_usage_error(tmp_path, text):
 @pytest.mark.parametrize("model, message", [
     ({"conv_channels": "abcde"}, "conv_channels must be a list of integers >= 1"),
     ({"conv_kernels": 5}, "conv_kernels must be a list of integers >= 1"),
-    ({"conv_paddings": [6, 2, 2, 1, -1]}, "conv_paddings must be a list of integers >= 0"),
+    ({"conv_paddings": [6, 2, 2, 1, -1]}, r"conv_paddings must be \(6, 2, 2, 1, 1\), which each conv's"),
     ({"lstm_hidden": "128"}, "lstm_hidden must be an integer >= 0"),
     ({"fc_hidden": 0}, "fc_hidden must be an integer >= 1"),
     ({"dropout_p": 1.5}, r"dropout_p must be a number in \[0, 1\)"),
     ({"leaky_slope": None}, "leaky_slope must be 0.01"),
     ({"n_classes": 2}, "n_classes must be 3"),
     ({"leaky_slope": 0.2}, "leaky_slope must be 0.01"),
+    ({"conv_paddings": [0, 0, 0, 0, 0]}, r"conv_paddings must be \(6, 2, 2, 1, 1\), which each conv's"),
 ])
 def test_train_bad_model_config_is_usage_error(tmp_path, capsys, model, message):
     config = tmp_path / "config.json"
@@ -153,6 +171,34 @@ def test_train_bad_model_config_is_usage_error(tmp_path, capsys, model, message)
                      "--config", str(config)])
     assert code == cli.EXIT_USAGE
     assert re.search(message, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("arch, stored, code", [
+    ("lstm", "cnn", cli.EXIT_USAGE),
+    ("cnn", "lstm", cli.EXIT_USAGE),
+    ("cnn", "cnn", cli.EXIT_DATA),
+])
+def test_train_config_architecture_must_match_lstm_layers(tmp_path, capsys, arch, stored, code):
+    # The architecture follows lstm_layers, which --arch sets; a stored one
+    # is checked against it before the (missing) manifest is read.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"architecture": stored}}))
+    assert cli.main(["train", "--manifest", str(tmp_path / "missing.csv"), "--out-dir", str(tmp_path / "out"),
+                     "--arch", arch, "--config", str(config)]) == code
+    err = capsys.readouterr().err
+    assert (f"architecture must be {arch!r}, which lstm_layers sets" in err) == (code == cli.EXIT_USAGE)
+
+
+def test_train_config_with_a_wide_dilation_loads_with_derived_paddings(tmp_path):
+    # Its last conv reaches 40 frames to each side: a padding of 40 keeps
+    # one frame per ms, where a configured padding of 1 lost 78 frames.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"conv_dilations": [1, 1, 1, 1, 40]}}))
+    args = cli.build_parser().parse_args(["train", "--manifest", "m.csv", "--out-dir", "out",
+                                          "--config", str(config)])
+    model_cfg, _ = cli._load_train_configs(args)
+    assert model_cfg.conv_paddings == (6, 2, 2, 1, 40)
+    assert Segmenter(model_cfg).forward(np.zeros((1, 1, 16000))).shape == (1, 1000, 3)
 
 
 def test_rate_on_a_directory_is_data_error(tmp_path, capsys):
@@ -204,6 +250,18 @@ def test_segment_with_four_class_checkpoint_exits_2(tmp_path, capsys, tiny_check
     code = cli.main(["segment", str(wav), "--checkpoint", str(tiny_checkpoint), "--out-dir", str(tmp_path)])
     assert code == cli.EXIT_DATA
     assert "n_classes must be 3" in capsys.readouterr().err
+
+
+def test_segment_with_non_finite_checkpoint_exits_2(tmp_path, capsys, tiny_checkpoint):
+    # A NaN weight would make every frame "other": a header-only CSV.
+    _rewrite(tiny_checkpoint, array_edit=lambda a: a["param/head.6.weight"].fill(np.nan))
+    wav = tmp_path / "a.wav"
+    write_wav(wav, Waveform(np.zeros(4000), 16000))
+    out = tmp_path / "out"
+    code = cli.main(["segment", str(wav), "--checkpoint", str(tiny_checkpoint), "--out-dir", str(out)])
+    assert code == cli.EXIT_DATA
+    assert "non-finite values in param/head.6.weight" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_segment_all_readable_exits_0(tmp_path, tiny_checkpoint):
@@ -340,7 +398,8 @@ _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=12)
-_SECTION_KEYS = sorted({*ModelConfig.__dataclass_fields__, *TrainConfig.__dataclass_fields__, "n_classes"})
+_SECTION_KEYS = sorted({*ModelConfig.__dataclass_fields__, *TrainConfig.__dataclass_fields__,
+                        "n_classes", "leaky_slope", "architecture", "conv_paddings"})
 
 
 @settings(max_examples=80, deadline=None)

@@ -17,13 +17,13 @@ from ddkseg.synth import TrialSpec, generate_trial
 
 CHECKPOINTS = Path(__file__).resolve().parents[1] / "bench" / "checkpoints"
 
-# A stride-1 top whose convs change the length: the first shrinks it by 2,
-# the second keeps it with a reach (8) unlike twice its padding (10), and
-# the third grows it by 2, so the stack ends 2 frames past the window.
+# A stride-1 top whose even kernels change the length: the first conv's
+# reach (3) and the last one's (3) are each one less than twice their
+# padding (4), so each grows the length by 1 and the stack ends 2 frames
+# past the window; the dilated conv between them keeps it.
 UNEVEN_CNN = ModelConfig(
-    architecture="cnn", conv_channels=(3, 4, 4, 4, 4), conv_kernels=(8, 5, 3, 5, 3),
-    conv_strides=(4, 4, 1, 1, 1), conv_paddings=(2, 2, 0, 5, 4), conv_dilations=(1, 1, 1, 2, 3),
-    lstm_hidden=0, lstm_layers=0, fc_hidden=6, dropout_p=0.0)
+    conv_channels=(3, 4, 4, 4, 4), conv_kernels=(8, 5, 4, 5, 2), conv_strides=(4, 4, 1, 1, 1),
+    conv_dilations=(1, 1, 1, 2, 3), lstm_hidden=0, lstm_layers=0, fc_hidden=6, dropout_p=0.0)
 
 
 @pytest.fixture(scope="module")

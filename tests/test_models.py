@@ -1,14 +1,19 @@
-"""Model configuration checks and the checkpoint format."""
+"""Model configuration checks, the derived conv paddings and the checkpoint format."""
 
+import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import TINY_CNN, TINY_LSTM
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddkseg.errors import ConfigError, DataError
 from ddkseg.models import CHECKPOINT_VERSION, ModelConfig, Segmenter, load_checkpoint, save_checkpoint
+from ddkseg.postproc import N_CLASSES
 
 CHECKPOINTS = Path(__file__).resolve().parents[1] / "bench" / "checkpoints"
 
@@ -80,6 +85,15 @@ def _config_not_object(h):
     h["config"] = "lstm"
 
 
+def _one_nan(arrays):
+    arrays["param/head.0.fw_w_ih"].flat[7] = np.nan
+
+
+def _past_float32(arrays):
+    arrays["state/conv.1.running_var"] = arrays["state/conv.1.running_var"].astype(np.float64)
+    arrays["state/conv.1.running_var"][0] = 1e300
+
+
 def _wrong_shape(arrays):
     key = next(k for k in arrays if k.startswith("param/"))
     arrays[key] = np.zeros(arrays[key].shape + (1,), dtype=arrays[key].dtype)
@@ -94,6 +108,8 @@ def _wrong_shape(arrays):
     (_config_not_object, None, "checkpoint header holds no config object"),
     (None, _wrong_shape, "shape mismatch for param/"),
     (None, lambda a: a.pop("state/conv.1.running_mean"), "checkpoint keys do not match architecture"),
+    (None, _one_nan, r"non-finite values in param/head\.0\.fw_w_ih$"),
+    (None, _past_float32, r"non-finite values in state/conv\.1\.running_var$"),
 ])
 def test_bad_checkpoint_is_data_error(tmp_path, header_edit, array_edit, message):
     path = tmp_path / "m.npz"
@@ -115,19 +131,51 @@ def test_snapshot_restore():
 
 @pytest.mark.parametrize("changes, message", [
     ({"architecture": "cnn"}, "cnn architecture has no LSTM layers"),
-    ({"lstm_layers": 0}, "lstm architecture needs lstm_layers >= 1"),
+    ({"architecture": "lstm", "lstm_layers": 0}, "lstm architecture needs lstm_layers >= 1"),
     ({"lstm_hidden": 0}, "lstm_hidden >= 1"),
-    ({"architecture": "gru"}, "unknown architecture"),
+    ({"architecture": "gru"}, "architecture must be 'lstm', which lstm_layers sets"),
     ({"conv_strides": (4, 2, 2, 1, 2)}, "conv stride product must be 16"),
     ({"conv_kernels": (16, 5, 5, 3)}, "conv_kernels must have 5 entries"),
+    ({"conv_dilations": (1, 1, 1, 1, 0)}, "conv_dilations must be a list of integers >= 1"),
 ])
 def test_validate_rejects(changes, message):
-    cfg = ModelConfig.from_dict({**ModelConfig.lstm_default().to_dict(), **changes})
+    # Configs are checked when made: from_dict raises before returning one.
     with pytest.raises(ConfigError, match=message):
-        cfg.validate()
+        ModelConfig.from_dict({**ModelConfig.lstm_default().to_dict(), **changes})
 
 
 def test_validate_accepts_other_layer_counts():
-    ModelConfig(conv_channels=(8, 8, 8), conv_kernels=(8, 5, 5), conv_strides=(4, 2, 2),
-                conv_paddings=(2, 2, 2), conv_dilations=(1, 1, 1), lstm_layers=1).validate()
-    TINY_CNN.validate()
+    cfg = ModelConfig(conv_channels=(8, 8, 8), conv_kernels=(8, 5, 5), conv_strides=(4, 2, 2),
+                      conv_dilations=(1, 1, 1), lstm_layers=1)
+    assert (cfg.architecture, cfg.conv_paddings) == ("lstm", (2, 2, 2))
+    assert (TINY_CNN.architecture, TINY_CNN.conv_paddings) == ("cnn", (2, 3))
+
+
+_STRIDES = [s for n in (2, 3) for s in itertools.product((1, 2, 4, 8, 16), repeat=n) if math.prod(s) == 16]
+
+
+@st.composite
+def _tiny_configs(draw):
+    # At most 4 channels: a wide kernel on a wide layer builds a large im2col buffer.
+    strides = draw(st.sampled_from(_STRIDES))
+
+    def per_conv(lo, hi):
+        return draw(st.tuples(*[st.integers(lo, hi)] * len(strides)))
+
+    lstm_layers = draw(st.integers(0, 1))
+    return ModelConfig(conv_channels=per_conv(1, 4), conv_kernels=per_conv(1, 9),
+                       conv_strides=strides, conv_dilations=per_conv(1, 5),
+                       lstm_hidden=3 * lstm_layers, lstm_layers=lstm_layers, fc_hidden=3, dropout_p=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=_tiny_configs(), samples=st.integers(16, 2000))
+def test_derived_paddings_give_one_frame_per_ms(cfg, samples):
+    model = Segmenter(cfg, seed=0)
+    rng = np.random.default_rng(samples)
+    x = 0.1 * rng.standard_normal((1, 1, samples))
+    assert model.conv.forward(x.astype(np.float32)).shape[2] >= samples // 16
+    assert model.forward(x).shape == (1, samples // 16, N_CLASSES)
+    loss, _ = model.loss_and_grads((0.1 * rng.standard_normal((2, 1, 1600))).astype(np.float32),
+                                   rng.integers(0, N_CLASSES, (2, 100)), rng=rng)
+    assert np.isfinite(loss)

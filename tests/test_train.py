@@ -1,10 +1,12 @@
-"""train_model is deterministic given a seed."""
+"""train_model is deterministic given a seed, and trains at 16 kHz whatever the corpus rate."""
 
 import dataclasses
 
 import numpy as np
 from conftest import TINY_LSTM
 
+from ddkseg import train
+from ddkseg.audio import MODEL_RATE_HZ, Waveform, resample
 from ddkseg.models import Segmenter
 from ddkseg.synth import Trial, TrialSpec, generate_trial
 from ddkseg.train import TrainConfig, train_model, write_train_log
@@ -36,3 +38,27 @@ def test_same_seed_gives_bit_identical_checkpoint_and_log(tmp_path):
         write_train_log(tmp_path / f"log{i}.csv", run.log)
     assert (tmp_path / "log0.csv").read_bytes() == (tmp_path / "log1.csv").read_bytes()
     assert runs[0].best_epoch == runs[1].best_epoch
+
+
+def test_a_44k_trial_trains_on_the_windows_and_labels_of_its_16k_copy(monkeypatch):
+    # Windows and labels count 16 samples per ms, so a 44.1 kHz trial is
+    # resampled first; cut as it was, it gave 6 windows of 0.36 s here.
+    wave, segments = generate_trial(TrialSpec(syllable_count=12, seed=5))  # 2.68 s
+    wave16 = Waveform(wave.samples[:40000], MODEL_RATE_HZ)  # 2 windows whatever the start shift
+    wave44 = resample(wave16, 44100)
+    datasets = []
+
+    def spy(trials, cfg, rng):
+        x, y = epoch_dataset(trials, cfg, rng)
+        datasets.append((x.shape, y))
+        return x, y
+
+    epoch_dataset = train._epoch_dataset
+    monkeypatch.setattr(train, "_epoch_dataset", spy)
+    cfg = TrainConfig(batch_size=4, max_epochs=1, patience=1, augment=False)
+    for w in (wave16, wave44):
+        train.train_model([Trial("t", w, segments)], [Trial("v", w, segments)], TINY_LSTM, cfg)
+    (val16, train16, val44, train44) = datasets  # validation first, then the one epoch
+    for (shape16, y16), (shape44, y44) in ((val16, val44), (train16, train44)):
+        assert shape16 == shape44 == (2, 1, 16000)
+        np.testing.assert_array_equal(y16, y44)
