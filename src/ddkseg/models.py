@@ -14,9 +14,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
-import queue
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +23,7 @@ from . import nn
 from .audio import MODEL_RATE_HZ, SAMPLES_PER_MS, Waveform, cut_windows, frame_owners, resample
 from .errors import ConfigError, DataError, InternalError
 from .nn.layers import LEAKY_SLOPE
+from .nn.threads import _Helpers
 from .postproc import LABEL_NAMES, N_CLASSES
 
 CHECKPOINT_VERSION = 1
@@ -56,7 +54,8 @@ class ModelConfig:
     set but derived (conv_paddings), so the stack gives every input of 16
     samples or more at least one frame per ms. The architecture is not set
     either: a model with LSTM layers is "lstm", one with lstm_layers=0 is
-    "cnn". The output layer has N_CLASSES units. A config is checked when
+    "cnn", and has lstm_hidden 0 whatever was asked, so each model has one
+    config. The output layer has N_CLASSES units. A config is checked when
     it is made, so an invalid one raises ConfigError and never exists.
     """
 
@@ -105,6 +104,8 @@ class ModelConfig:
                               f"(one frame per ms at {MODEL_RATE_HZ} Hz), got {stride_product}")
         if self.lstm_layers and self.lstm_hidden < 1:
             raise ConfigError("an lstm architecture (lstm_layers >= 1) needs lstm_hidden >= 1")
+        if not self.lstm_layers:
+            object.__setattr__(self, "lstm_hidden", 0)  # frozen: set once, while the config is made
 
     @property
     def architecture(self) -> str:
@@ -303,9 +304,11 @@ class Segmenter:
         gradients, handed over once the layer has its dx (a BiLSTM's
         recurrent weights' just before, beside its dx GEMMs), so they overlap
         the backward of the layers below; and in the forward, each BiLSTM's
-        backward-direction input projection, beside the forward
-        direction's. Its GEMMs release the GIL, so they overlap this
-        thread's BiLSTM time loops. Every GEMM keeps its operands, so the
+        input projection of its next block, both directions, beside the
+        time loop of the block before (see ddkseg.nn.lstm). Its GEMMs
+        release the GIL, so they overlap this thread's BiLSTM time loops.
+        Unlike an eval BiLSTM forward, the step starts its helper whatever
+        BLAS's thread count. Every GEMM keeps its operands, so the
         loss and gradients are bit-identical to a one-CPU step, which runs
         the jobs inline. At most one job waits behind the running one, so
         the step's peak memory does not depend on the helper's speed. The
@@ -383,9 +386,11 @@ def predict_file(model: Segmenter, wave: Waveform) -> FramePrediction:
     index, so the output is bit-identical whatever the thread count.
     An LSTM model stacks WINDOWS_PER_FORWARD windows per job, so each step
     of the recurrence serves them all, and slices the spans from the output.
-    Its jobs run on the calling thread alone: stacks of 4 on two threads
+    Its jobs run on the calling thread: stacks of 4 on two threads
     measured 40.8 against 40.2 audio s/s on one (segment-lstm-16k, 2 CPUs),
-    no gain for a peak RSS of 83.5 against 68.4 MB.
+    no gain for a peak RSS of 83.5 against 68.4 MB. Inside each stack's
+    forward, though, each BiLSTM projects its next input block on a helper
+    of its own while BLAS runs on one thread (see ddkseg.nn.lstm).
     A CNN model has no recurrence to amortise and measured slower stacked.
     Each job runs one window with keep= its owned span, so the stride-1 top
     of its conv stack computes only what that span reads (see
@@ -393,7 +398,8 @@ def predict_file(model: Segmenter, wave: Waveform) -> FramePrediction:
     CPU, up to one per window, and to the calling thread once all are
     queued; a job holds no array until it runs, so the queue is unbounded.
     The GEMMs and elementwise kernels release the GIL, so the threads
-    overlap; BLAS stays on whatever thread count its environment sets.
+    overlap. BLAS stays on whatever thread count its environment sets;
+    only the BiLSTM's helper asks it (nn.threads.blas_threads).
     Stacking changes the probabilities by float32 rounding only.
 
     Windows shorter than the receptive field (only a short file's sole
@@ -443,88 +449,6 @@ def predict_file(model: Segmenter, wave: Waveform) -> FramePrediction:
         owned.append(owned[-1][-1:])
     probs = np.concatenate(owned)
     return FramePrediction(np.argmax(probs, axis=1).astype(np.int8), probs, padded=padded)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-class _Helpers:
-    """Up to n - 1 helper threads, one per further usable CPU, that run the
-    jobs submitted to them in order, from one queue.Queue(maxsize=bound)
-    (0: unbounded); with no helper, submit runs the job inline. On exit
-    every helper that started is joined, also when the body raised, and
-    then the first exception a job raised is raised; the jobs after it are
-    skipped. A helper drops each job before it awaits the next, so what a
-    job holds is freed by the time wait() returns: a helper that kept its
-    last job until the next get() raised train-lstm's peak_rss_mb from 173
-    to 185 MB.
-    """
-
-    def __init__(self, n: int, bound: int = 0):
-        self._errors: list[BaseException] = []
-        self._queue = queue.Queue(maxsize=bound)
-        self._threads = [threading.Thread(target=self._serve) for _ in range(min(_usable_cpus(), n) - 1)]
-
-    def __enter__(self) -> "_Helpers":
-        try:
-            for thread in self._threads:
-                thread.start()
-        except BaseException as exc:
-            self.__exit__(type(exc), exc, exc.__traceback__)
-            raise
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc is not None:
-            self._errors.append(exc)  # the helpers skip the jobs still queued
-        started = [thread for thread in self._threads if thread.ident is not None]
-        for _ in started:
-            self._queue.put(None)
-        for thread in started:
-            thread.join()
-        if self._errors and self._errors[0] is not exc:
-            raise self._errors[0]
-
-    def submit(self, job) -> None:
-        """Queue job() for a helper, or run it now when there is none. With
-        a bound, wait first while `bound` jobs are already waiting."""
-        if self._threads:
-            self._queue.put(job)
-        else:
-            job()
-
-    def wait(self) -> None:
-        """Return once every job submitted so far has run; raise the first
-        exception one of them raised."""
-        self._queue.join()
-        if self._errors:
-            raise self._errors[0]
-
-    def help(self) -> None:
-        """Run queued jobs on the calling thread until none is left."""
-        self._serve(block=False)
-
-    def _serve(self, block: bool = True) -> None:
-        """Run queued jobs until the None that __exit__ queues, or, with
-        block=False, until the queue is empty."""
-        while True:
-            try:
-                job = self._queue.get(block)
-            except queue.Empty:
-                return
-            if job is None:
-                return
-            if not self._errors:
-                try:
-                    job()
-                except BaseException as exc:  # raised by wait() or on exit
-                    self._errors.append(exc)
-            del job  # before wait() can return, not at the next get()
-            self._queue.task_done()
 
 
 def save_checkpoint(path, model: Segmenter, meta: dict | None = None) -> None:

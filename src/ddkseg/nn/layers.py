@@ -29,7 +29,7 @@ leaky ReLU is one maximum.
 Weight gradients: Conv1d, Linear and the BiLSTM put their parameter
 gradients in self.grads as soon as backward has its dx, but fill them
 through Layer._later, which submits the job to the helper threads of the
-Segmenter.loss_and_grads step running (models._Helpers, one helper on two
+Segmenter.loss_and_grads step running (threads._Helpers, one helper on two
 or more CPUs; on one CPU the job runs inline). So the arrays are complete
 only when the step returns; a backward called outside a step fills them
 before it returns. A job writes only into arrays the calling thread

@@ -17,8 +17,27 @@ its output (s * (1 - s) for a sigmoid), so it needs no halving.
 
 The input projection is computed PROJ_BLOCK steps at a time, and the
 hidden states of one block at a time are kept, each block's written
-straight into the (batch, time, 2H) output. Each block is projected just
-before its steps run; in training straight into the gate cache, and
+straight into the (batch, time, 2H) output. Block 0 is projected first,
+both directions plus the bias; then, while the calling thread runs block
+b's time loop, one job projects block b + 1 the same way, and the caller
+waits for it before block b + 1's steps. The time loop is a per-step
+Python loop of small calls, so a helper thread running the job's GEMMs
+(which release the GIL) beside it hides most of the projection, where
+running one block's two directions side by side did not (the caller then
+only waited). Every GEMM keeps its operands and shapes, so the output is
+bit-identical however the jobs run. The caller allocates all a job
+writes: its one-direction GEMM output buffer, and the block's place in
+training's gate cache or in eval's two-block ring (2 x PROJ_BLOCK steps).
+
+In training the job goes to the Segmenter.loss_and_grads step's helper
+(Layer._later; inline outside a step). An eval forward opens a helper of
+its own for the call, only where there is a second block and BLAS runs on
+one thread (threads.blas_threads): a 4-window stack forward of the
+default model took 134 ms with it against 208 without, but beside
+OpenBLAS's own threads 211 against 190 (2 CPUs). It keeps no state on the
+layer. Otherwise the jobs run inline.
+
+In training the blocks are projected straight into the gate cache, and
 backward() gets the input x (by reference), every step's gate outputs
 (written over the projection they were computed from) and every step's
 cell. It recomputes tanh(cell) with the same np.tanh rather than keeping
@@ -26,10 +45,9 @@ it, and from it each step's hidden state, go * tanh(cell), as forward
 computed it, for the recurrent weights' gradient. It reads dout one step
 at a time, and writes each step's gate gradients over that step's spent
 gate outputs rather than into a second (time, batch, 2, 4H) array. Inside
-a Segmenter.loss_and_grads step with a helper thread, the helper computes
-the backward direction's input projection, and in backward() the recurrent
-weights' and biases' gradients beside the input gradient, then the input
-weights' (see ddkseg.nn.layers).
+a step with a helper thread, the helper computes in backward() the
+recurrent weights' and biases' gradients beside the input gradient, then
+the input weights' (see ddkseg.nn.layers).
 """
 
 from __future__ import annotations
@@ -38,12 +56,15 @@ import functools
 
 import numpy as np
 
+from . import threads
 from .layers import Layer
 from .ops import uniform_fan
 
 # Time steps per input-projection block: bounds the projection's buffers,
-# and the hidden states kept, whatever the sequence length.
-PROJ_BLOCK = 128
+# and the hidden states kept, whatever the sequence length. With 128, eval's
+# two-block ring raised the peak RSS of predict_file over the
+# segment-lstm-16k files from 56.7 to 60.0 MB.
+PROJ_BLOCK = 64
 
 
 class BiLSTM(Layer):
@@ -63,6 +84,20 @@ class BiLSTM(Layer):
         """x is (B, T, I); returns (B, T, 2H), forward direction first."""
         if x.ndim != 3 or x.shape[2] != self.input_size:
             raise ValueError(f"bilstm expects (batch, time, {self.input_size}), got {x.shape}")
+        self._cache = None
+        if train:
+            out, self._cache = self._run(x, True, self._later, self._wait)
+            return out
+        # A helper of the call's own, where there is a next block to project
+        # and BLAS runs on one thread (beside a threaded BLAS it was slower).
+        helper = x.shape[1] > PROJ_BLOCK and threads.blas_threads() == 1
+        with threads._Helpers(2 if helper else 1, bound=1) as helpers:
+            return self._run(x, False, helpers.submit, helpers.wait)[0]
+
+    def _run(self, x, train, later, wait):
+        """The forward pass: (output, backward cache or None). later(job)
+        hands over the next block's projection, and wait() returns once it
+        has run."""
         batch, t_len, _ = x.shape
         hid = self.hidden_size
         p = self.params
@@ -78,10 +113,28 @@ class BiLSTM(Layer):
         hidden = np.zeros((block + 1, 2, batch, hid), dtype=x.dtype)
         cell = np.zeros((2, batch, hid), dtype=x.dtype)
         # In training proj is the gate cache: proj[t] holds step t's
-        # projection until the step overwrites it with its gate outputs.
-        proj = np.empty((t_len if train else block, 4, 2, batch, hid), dtype=x.dtype)
+        # projection until the step overwrites it with its gate outputs. In
+        # eval it is a ring of two blocks: the one the steps read, and the
+        # next one, which a job projects meanwhile.
+        proj = np.empty((t_len, 4, 2, batch, hid) if train else (2, block, 4, 2, batch, hid), dtype=x.dtype)
         if train:
             cells = np.zeros((t_len + 1, 2, batch, hid), dtype=x.dtype)  # cells[t + 1] after step t
+        gemm_out = np.empty(batch * block * 4 * hid, dtype=x.dtype)  # one direction's block, (batch, k, 4H)
+
+        def steps_of(s0):
+            """Block s0's projections, (k, gate, direction, batch, H)."""
+            k = min(block, t_len - s0)
+            return proj[s0:s0 + k] if train else proj[s0 // block % 2, :k]
+
+        def project(s0):
+            """Block s0's projections of both directions, plus the bias."""
+            steps = steps_of(s0)
+            k = len(steps)
+            out = gemm_out[:batch * k * 4 * hid].reshape(batch, k, 4 * hid)
+            _project(x[:, s0:s0 + k], w_ih[0], out, steps[:, :, 0])
+            _project(x[:, t_len - s0 - k:t_len - s0][:, ::-1], w_ih[1], out, steps[:, :, 1])
+            steps += bias
+
         zb = np.empty((2, batch, 4 * hid), dtype=x.dtype)  # recurrent matmul output
         zb_gates = zb.reshape(2, batch, 4, hid).transpose(2, 0, 1, 3)
         z = np.empty((4, 2, batch, hid), dtype=x.dtype)
@@ -89,16 +142,13 @@ class BiLSTM(Layer):
         sigmoid_gates = z[:3]
         scratch = np.empty((2, batch, hid), dtype=x.dtype)
         out = np.empty((batch, t_len, 2 * hid), dtype=x.dtype)
+        if t_len:
+            project(0)
         for s0 in range(0, t_len, max(block, 1)):
-            k = min(block, t_len - s0)
-            fw_times = slice(s0, s0 + k)
-            bw_times = slice(t_len - s0 - k, t_len - s0)  # read last to first below
-            steps = proj[fw_times] if train else proj[:k]
-            bw_proj = np.empty((batch, k, 4 * hid), dtype=x.dtype)
-            self._later(functools.partial(_project, x[:, bw_times][:, ::-1], w_ih[1], bw_proj, steps[:, :, 1]))
-            _project(x[:, fw_times], w_ih[0], None, steps[:, :, 0])
-            self._wait()
-            steps += bias
+            steps = steps_of(s0)
+            k = len(steps)
+            if s0 + k < t_len:
+                later(functools.partial(project, s0 + k))
             for j in range(k):
                 np.matmul(hidden[j], w_hh_t, out=zb)
                 np.add(zb_gates, steps[j], out=z)
@@ -113,12 +163,12 @@ class BiLSTM(Layer):
                 if train:
                     steps[j] = z
                     cells[s0 + j + 1] = cell
-            out[:, fw_times, :hid] = hidden[1:k + 1, 0].transpose(1, 0, 2)
-            out[:, bw_times, hid:] = hidden[k:0:-1, 1].transpose(1, 0, 2)
+            out[:, s0:s0 + k, :hid] = hidden[1:k + 1, 0].transpose(1, 0, 2)
+            out[:, t_len - s0 - k:t_len - s0, hid:] = hidden[k:0:-1, 1].transpose(1, 0, 2)
             if s0 + k < t_len:
                 hidden[0] = hidden[k]
-        self._cache = (x, proj, cells) if train else None
-        return out
+                wait()
+        return out, ((x, proj, cells) if train else None)
 
     def backward(self, dout):
         x, gates, cells = self._take_cache()
@@ -189,7 +239,7 @@ class BiLSTM(Layer):
             x_tm = x.transpose(1, 0, 2)
             for d, direction in enumerate(("fw", "bw")):
                 np.copyto(xs, x_tm if d == 0 else x_tm[::-1])
-                np.matmul(dz2[d].T, xs.reshape(t_len * batch, -1), out=grads[f"{direction}_w_ih"])
+                np.matmul(dz2[d].T, xs.reshape(t_len * batch, self.input_size), out=grads[f"{direction}_w_ih"])
 
         self._later(input_grads)
         self.grads.update(grads)
@@ -198,6 +248,6 @@ class BiLSTM(Layer):
 
 def _project(xs, w_ih, out, dest):
     """dest[time, gate, batch, :] = (xs @ w_ih.T) of xs (batch, time, I),
-    by way of the (batch, time, 4H) array out (allocated if None)."""
+    by way of the (batch, time, 4H) array out."""
     r = np.matmul(xs, w_ih.T, out=out)
     dest[...] = r.reshape(r.shape[0], r.shape[1], 4, -1).transpose(1, 2, 0, 3)

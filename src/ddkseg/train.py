@@ -7,7 +7,8 @@ audio.WINDOW_MS windows (the length inference runs on), and minimizes
 class-weighted softmax cross-entropy with Adam. Class weights are inverse
 frequencies capped at CLASS_WEIGHT_CAP. The parameters with the best
 validation frame accuracy are kept; training stops early after `patience`
-epochs without improvement.
+epochs without improvement. A non-finite gradient, training loss or
+validation loss ends training with a ConfigError (the lr is too large).
 """
 
 from __future__ import annotations
@@ -178,6 +179,9 @@ def train_model(train_trials: list[Trial], val_trials: list[Trial],
         train_loss = epoch_loss / seen
 
         val_loss, val_acc = _evaluate(model, val_x, val_y, cfg.batch_size, weights)
+        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+            raise ConfigError(f"training diverged in epoch {epoch} (train_loss {train_loss:g}, "
+                              f"val_loss {val_loss:g}): lr {cfg.lr:g} is too large")
         log.append({"epoch": epoch, "train_loss": train_loss,
                     "val_loss": val_loss, "val_frame_acc": val_acc})
         logger.info("epoch %d: train_loss=%.4f val_loss=%.4f val_acc=%.4f",

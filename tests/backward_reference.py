@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ddkseg.nn.lstm import PROJ_BLOCK
+
 
 def conv1d_reference(conv, x, dout, pad=None):
     """(out, dx, dweight, dbias) of `conv` on x, keeping the im2col columns."""
@@ -55,9 +57,13 @@ def bilstm_reference(lstm, x, dout):
     w_hh_t = np.ascontiguousarray((np.stack([p["fw_w_hh"], p["bw_w_hh"]]) * half).transpose(0, 2, 1))
     bias = (np.stack([p["fw_b"], p["bw_b"]]) * half[:, 0]).reshape(2, 4, 1, hid).transpose(1, 0, 2, 3)
 
+    # Projected PROJ_BLOCK steps at a time, as the layer does: a one-step
+    # GEMM rounds differently from a longer one.
     gates = np.empty((t_len, 4, 2, batch, hid), dtype=x.dtype)
     for d, xs in enumerate((x, x[:, ::-1])):
-        gates[:, :, d] = np.matmul(xs, w_ih[d].T).reshape(batch, t_len, 4, hid).transpose(1, 2, 0, 3)
+        for s0 in range(0, t_len, PROJ_BLOCK):
+            block = np.matmul(xs[:, s0:s0 + PROJ_BLOCK], w_ih[d].T)
+            gates[s0:s0 + PROJ_BLOCK, :, d] = block.reshape(batch, -1, 4, hid).transpose(1, 2, 0, 3)
     gates += bias
     hidden = np.zeros((t_len + 1, 2, batch, hid), dtype=x.dtype)
     cells = np.zeros((t_len + 1, 2, batch, hid), dtype=x.dtype)

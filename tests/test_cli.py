@@ -114,6 +114,22 @@ def test_train_that_diverges_is_usage_error(tmp_path, capsys):
     assert not (out / "checkpoint.npz").exists()
 
 
+def test_train_whose_loss_diverges_is_usage_error(tmp_path, capsys):
+    # Every gradient stays finite, but epoch 2's validation loss is NaN.
+    corpus = tmp_path / "corpus"
+    assert cli.main(["synth", "--out-dir", str(corpus), "--trials", "5"]) == cli.EXIT_OK
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": TINY_LSTM.to_dict()}))
+    out = tmp_path / "out"
+    code = cli.main(["train", "--manifest", str(corpus / "manifest.csv"), "--out-dir", str(out),
+                     "--config", str(config), "--lr", "1e10", "--epochs", "2", "--batch-size", "4"])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert re.search(r"training diverged in epoch 2 \(train_loss \S+, val_loss nan\): lr 1e\+10 is too large", err)
+    assert not (out / "checkpoint.npz").exists()
+    assert not (out / "train_log.csv").exists()
+
+
 @pytest.mark.parametrize("train, flags, message", [
     ({"batch_size": 0}, [], "batch_size must be >= 1"),
     ({"patience": 99}, [], "patience cannot exceed max_epochs"),

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import TINY_CNN, TINY_LSTM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddkseg import cli
 from ddkseg.errors import ConfigError, DataError
 from ddkseg.models import CHECKPOINT_VERSION, ModelConfig, Segmenter, load_checkpoint, save_checkpoint
 from ddkseg.postproc import N_CLASSES
@@ -149,6 +151,23 @@ def test_validate_accepts_other_layer_counts():
                       conv_dilations=(1, 1, 1), lstm_layers=1)
     assert (cfg.architecture, cfg.conv_paddings) == ("lstm", (2, 2, 2))
     assert (TINY_CNN.architecture, TINY_CNN.conv_paddings) == ("cnn", (2, 3))
+
+
+def test_a_model_without_lstm_layers_has_one_config(tmp_path):
+    # lstm_hidden means nothing without LSTM layers: it reads 0 whatever was
+    # asked, so configs of one model compare equal.
+    assert ModelConfig(lstm_layers=0) == ModelConfig(lstm_layers=0, lstm_hidden=0)
+    assert ModelConfig(lstm_layers=0).lstm_hidden == 0
+    # lstm_layers 0 over the --arch lstm defaults still loads, as a cnn.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {"lstm_layers": 0}}))
+    args = cli.build_parser().parse_args(["train", "--manifest", "m.csv", "--out-dir", "out",
+                                          "--config", str(config)])
+    model_cfg, _ = cli._load_train_configs(args)
+    assert (model_cfg.architecture, model_cfg.lstm_hidden) == ("cnn", 0)
+    assert model_cfg == replace(ModelConfig.lstm_default(), lstm_layers=0, lstm_hidden=0)
+    cfg = load_checkpoint(CHECKPOINTS / "cnn.npz")[0].cfg
+    assert cfg == ModelConfig.cnn_default() == replace(ModelConfig.cnn_default(), lstm_hidden=128)
 
 
 _STRIDES = [s for n in (2, 3) for s in itertools.product((1, 2, 4, 8, 16), repeat=n) if math.prod(s) == 16]

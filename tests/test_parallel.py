@@ -1,6 +1,7 @@
 """predict_file shares a CNN file's full windows between the calling thread
 and one helper thread per further usable CPU (models._Helpers), and runs
-an LSTM file's stacks on the calling thread alone: the output does not
+an LSTM file's stacks on the calling thread (each BiLSTM forward may start
+one helper of its own, see ddkseg.nn.lstm): the output does not
 depend on the CPU count, an error in any thread reaches the caller, no
 thread outlives the call, no input samples are written, and a helper holds
 no job that has run."""
@@ -20,6 +21,7 @@ from conftest import TINY_LSTM, set_cpus
 from ddkseg import models
 from ddkseg.audio import MODEL_RATE_HZ, SAMPLES_PER_MS, Waveform, cut_windows
 from ddkseg.models import Segmenter, load_checkpoint, predict_file
+from ddkseg.nn import threads
 from ddkseg.synth import TrialSpec, generate_trial
 
 CHECKPOINTS = Path(__file__).resolve().parents[1] / "bench" / "checkpoints"
@@ -73,10 +75,12 @@ def test_threaded_predict_file_is_bit_identical_to_one_thread(monkeypatch, cnn_m
 def test_lstm_stacks_run_on_the_calling_thread(monkeypatch, trial, cpus):
     # 9 full windows, the last ending at the last frame: stacks of 4, 4 and
     # 1 windows, the last a view of the file's samples, and nothing through
-    # predict_window.
+    # predict_window. The only threads started are each BiLSTM forward's
+    # projection helper, with BLAS on one thread and a second CPU.
     model = Segmenter(TINY_LSTM, seed=1)
     wave = _wave(trial, 8, True)
     started, forwards, window_calls = [], [], []
+    monkeypatch.setattr(threads, "blas_threads", lambda: 1)
 
     class CountedThread(threading.Thread):
         def start(self):
@@ -84,6 +88,7 @@ def test_lstm_stacks_run_on_the_calling_thread(monkeypatch, trial, cpus):
             super().start()
 
     def forward(self, x, *args, **kwargs):
+        assert threading.current_thread() is threading.main_thread()
         forwards.append((x.shape[0], x.shape[2], np.shares_memory(x, wave.samples)))
         return original_forward(self, x, *args, **kwargs)
 
@@ -98,7 +103,7 @@ def test_lstm_stacks_run_on_the_calling_thread(monkeypatch, trial, cpus):
     set_cpus(monkeypatch, cpus)
     predict_file(model, wave)
     full = 1000 * SAMPLES_PER_MS
-    assert started == []
+    assert len(started) == (3 * TINY_LSTM.lstm_layers if cpus > 1 else 0)
     assert forwards == [(4, full, False), (4, full, False), (1, full, True)]
     assert window_calls == []
 
@@ -169,9 +174,9 @@ def test_a_thread_that_cannot_start_leaves_none_running(monkeypatch):
 def test_cpu_count_where_affinity_is_unknown(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert models._usable_cpus() == 3
+    assert threads._usable_cpus() == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert models._usable_cpus() == 1
+    assert threads._usable_cpus() == 1
 
 
 @pytest.mark.parametrize("failing", ["helper", "caller"])

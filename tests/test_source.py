@@ -115,3 +115,27 @@ def test_threads_start_in_one_place():
         visit(tree, f"{path.relative_to(SRC)}:<module>")
     for (module, name), where in makers.items():
         assert len(where) == 1, f"{module}.{name}( is called in {sorted(where)}"
+
+
+def test_ctypes_in_one_function():
+    # Native calls are kept to the one BLAS thread-count query, whose
+    # missing symbol falls back to no helper (tests/test_lstm_pipeline.py).
+    where = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+
+        def visit(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                scope = f"{path.relative_to(SRC)}:{getattr(node, 'name', '<lambda>')}"
+            if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "ctypes":
+                where.add(scope)
+            elif isinstance(node, ast.Import) and any(a.name.split(".")[0] == "ctypes" and a.asname
+                                                      for a in node.names):
+                where.add(scope)  # an alias would hide its uses
+            elif isinstance(node, ast.Name) and node.id == "ctypes":
+                where.add(scope)
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(tree, f"{path.relative_to(SRC)}:<module>")
+    assert where == {"nn/threads.py:blas_threads"}, f"ctypes is used in {sorted(where)}"

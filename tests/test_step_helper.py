@@ -1,9 +1,9 @@
 """Segmenter.loss_and_grads hands its layers' weight gradients, and each
-BiLSTM's backward-direction input projection, to one helper thread when two
-or more CPUs are usable: the loss, gradients and training runs do not depend
-on the CPU count, a job's error reaches the caller with no thread and no
-layer cache left, one step's gradients survive the next step, and exactly
-one helper starts per step."""
+BiLSTM's input projection of the block after the one running, to one helper
+thread when two or more CPUs are usable: the loss, gradients and training
+runs do not depend on the CPU count, a job's error reaches the caller with
+no thread and no layer cache left, one step's gradients survive the next
+step, and exactly one helper starts per step."""
 
 import dataclasses
 import sys
@@ -14,7 +14,8 @@ import pytest
 from conftest import SMALL_LSTM, TINY_CNN, TINY_LSTM, assert_same_bits, held, set_cpus, step_inputs
 
 from ddkseg.models import ModelConfig, Segmenter
-from ddkseg.nn import Layer
+from ddkseg.nn import Layer, threads
+from ddkseg.nn.lstm import PROJ_BLOCK
 from ddkseg.synth import Trial, TrialSpec, generate_trial
 from ddkseg.train import TrainConfig, train_model, write_train_log
 
@@ -76,13 +77,16 @@ def test_training_does_not_depend_on_cpu_count(monkeypatch, tmp_path):
     assert (tmp_path / "log1.csv").read_bytes() == (tmp_path / "log2.csv").read_bytes()
 
 
+# TINY_LSTM's jobs, in order: the two BiLSTMs' projections in the forward,
+# one per PROJ_BLOCK block after the first (15 each at T = 1000), then in the
+# backward the weight gradients of Linear, Linear, each BiLSTM's recurrent
+# then input weights, and the two convs.
+FORWARD_JOBS = 2 * (-(-1000 // PROJ_BLOCK) - 1)
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("failing", [0, 18], ids=["forward_job", "backward_job"])
+@pytest.mark.parametrize("failing", [0, FORWARD_JOBS + 2], ids=["forward_job", "backward_job"])
 def test_error_in_a_job_reaches_the_caller(monkeypatch, cpus, failing):
-    # TINY_LSTM's jobs, in order: the two BiLSTMs' projections in the
-    # forward, one per PROJ_BLOCK block (8 each at T = 1000), then in the
-    # backward the weight gradients of Linear, Linear, each BiLSTM's
-    # recurrent then input weights, and the two convs.
     set_cpus(monkeypatch, cpus)
     model = Segmenter(TINY_LSTM, seed=1)
     x, y = step_inputs(2)
@@ -154,8 +158,12 @@ def test_one_helper_per_step_and_none_on_one_cpu(monkeypatch, cpus):
         model.loss_and_grads(x, y, rng=np.random.default_rng(0))
     assert len(started) == (2 if cpus > 1 else 0)
     assert job_threads == (set(started) if cpus > 1 else {threading.main_thread()})
-    # An eval forward starts no helper: it runs its projection job inline.
-    started.clear()
+    # An eval forward hands no job to the step's helpers. Each BiLSTM
+    # starts a helper of its own only while BLAS runs on one thread.
     job_threads.clear()
-    model.forward(x)
-    assert not started and job_threads == {threading.main_thread()}
+    for reported, helpers in ((2, 0), (None, 0), (1, 2 if cpus > 1 else 0)):
+        monkeypatch.setattr(threads, "blas_threads", lambda: reported)
+        started.clear()
+        model.forward(x)
+        assert len(started) == helpers
+    assert not job_threads
