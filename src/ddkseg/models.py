@@ -298,23 +298,21 @@ class Segmenter:
                        rng: np.random.Generator | None = None) -> tuple[float, dict[str, np.ndarray]]:
         """One training step's loss and gradients (train mode).
 
-        With two or more usable CPUs the step gets one helper thread
-        (_Helpers(2, bound=1)), which runs the jobs that the layers hand it
-        (see ddkseg.nn.layers): each Conv1d's, Linear's and BiLSTM's weight
-        gradients, handed over once the layer has its dx (a BiLSTM's
-        recurrent weights' just before, beside its dx GEMMs), so they overlap
-        the backward of the layers below; and in the forward, each BiLSTM's
-        input projection of its next block, both directions, beside the
-        time loop of the block before (see ddkseg.nn.lstm). Its GEMMs
-        release the GIL, so they overlap this thread's BiLSTM time loops.
-        Unlike an eval BiLSTM forward, the step starts its helper whatever
-        BLAS's thread count. Every GEMM keeps its operands, so the
-        loss and gradients are bit-identical to a one-CPU step, which runs
-        the jobs inline. At most one job waits behind the running one, so
-        the step's peak memory does not depend on the helper's speed. The
-        helper is joined before this returns, and the first exception a job
-        raised is raised here. A step that fails part way leaves no layer
-        cache.
+        With two or more usable CPUs, and BLAS on one thread, the step gets
+        one helper thread (_Helpers(2, bound=1)), which runs the jobs that
+        the layers hand it (see ddkseg.nn.layers): each Conv1d's, Linear's
+        and BiLSTM's weight gradients, handed over once the layer has its dx
+        (a BiLSTM's recurrent weights' just before, beside its dx GEMMs), so
+        they overlap the backward of the layers below; and in the forward,
+        each BiLSTM's input projection of its next block, both directions,
+        beside the time loop of the block before (see ddkseg.nn.lstm). Its
+        GEMMs release the GIL, so they overlap this thread's BiLSTM time
+        loops. Every GEMM keeps its operands, so the loss and gradients are
+        bit-identical to a step with no helper, which runs the jobs inline.
+        At most one job waits behind the running one, so the step's peak
+        memory does not depend on the helper's speed. The helper is joined
+        before this returns, and the first exception a job raised is raised
+        here. A step that fails part way leaves no layer cache.
         """
         layers = self.conv.layers + self.head.layers
         try:
@@ -390,7 +388,7 @@ def predict_file(model: Segmenter, wave: Waveform) -> FramePrediction:
     measured 40.8 against 40.2 audio s/s on one (segment-lstm-16k, 2 CPUs),
     no gain for a peak RSS of 83.5 against 68.4 MB. Inside each stack's
     forward, though, each BiLSTM projects its next input block on a helper
-    of its own while BLAS runs on one thread (see ddkseg.nn.lstm).
+    of its own (see ddkseg.nn.lstm).
     A CNN model has no recurrence to amortise and measured slower stacked.
     Each job runs one window with keep= its owned span, so the stride-1 top
     of its conv stack computes only what that span reads (see
@@ -398,8 +396,8 @@ def predict_file(model: Segmenter, wave: Waveform) -> FramePrediction:
     CPU, up to one per window, and to the calling thread once all are
     queued; a job holds no array until it runs, so the queue is unbounded.
     The GEMMs and elementwise kernels release the GIL, so the threads
-    overlap. BLAS stays on whatever thread count its environment sets;
-    only the BiLSTM's helper asks it (nn.threads.blas_threads).
+    overlap. Like every _Helpers, these start only while BLAS runs on one
+    thread; otherwise the jobs run on the calling thread.
     Stacking changes the probabilities by float32 rounding only.
 
     Windows shorter than the receptive field (only a short file's sole

@@ -30,10 +30,11 @@ Weight gradients: Conv1d, Linear and the BiLSTM put their parameter
 gradients in self.grads as soon as backward has its dx, but fill them
 through Layer._later, which submits the job to the helper threads of the
 Segmenter.loss_and_grads step running (threads._Helpers, one helper on two
-or more CPUs; on one CPU the job runs inline). So the arrays are complete
-only when the step returns; a backward called outside a step fills them
-before it returns. A job writes only into arrays the calling thread
-allocated for it, and reads arrays that nothing writes until the step ends.
+or more CPUs while BLAS runs on one thread; otherwise the job runs
+inline). So the arrays are complete only when the step returns; a
+backward called outside a step fills them before it returns. A job writes
+only into arrays the calling thread allocated for it, and reads arrays
+that nothing writes until the step ends.
 """
 
 from __future__ import annotations

@@ -30,12 +30,11 @@ writes: its one-direction GEMM output buffer, and the block's place in
 training's gate cache or in eval's two-block ring (2 x PROJ_BLOCK steps).
 
 In training the job goes to the Segmenter.loss_and_grads step's helper
-(Layer._later; inline outside a step). An eval forward opens a helper of
-its own for the call, only where there is a second block and BLAS runs on
-one thread (threads.blas_threads): a 4-window stack forward of the
-default model took 134 ms with it against 208 without, but beside
-OpenBLAS's own threads 211 against 190 (2 CPUs). It keeps no state on the
-layer. Otherwise the jobs run inline.
+(Layer._later; inline outside a step). An eval forward that has a second
+block opens a threads._Helpers of its own for the call, which keeps no
+state on the layer: a 4-window stack forward of the default model took
+134 ms with its helper against 208 without (2 CPUs). Where _Helpers
+starts no helper, the jobs run inline.
 
 In training the blocks are projected straight into the gate cache, and
 backward() gets the input x (by reference), every step's gate outputs
@@ -88,10 +87,8 @@ class BiLSTM(Layer):
         if train:
             out, self._cache = self._run(x, True, self._later, self._wait)
             return out
-        # A helper of the call's own, where there is a next block to project
-        # and BLAS runs on one thread (beside a threaded BLAS it was slower).
-        helper = x.shape[1] > PROJ_BLOCK and threads.blas_threads() == 1
-        with threads._Helpers(2 if helper else 1, bound=1) as helpers:
+        # A helper of the call's own, where there is a next block to project.
+        with threads._Helpers(2 if x.shape[1] > PROJ_BLOCK else 1, bound=1) as helpers:
             return self._run(x, False, helpers.submit, helpers.wait)[0]
 
     def _run(self, x, train, later, wait):

@@ -3,7 +3,8 @@
 _Helpers is the one way work reaches another CPU: predict_file shares a
 CNN file's windows with it, a Segmenter.loss_and_grads step hands it its
 layers' jobs (see ddkseg.nn.layers), and an eval BiLSTM.forward its
-next block's input projection (see ddkseg.nn.lstm).
+next block's input projection (see ddkseg.nn.lstm). It alone decides
+whether a helper starts, so no caller asks BLAS anything.
 """
 
 from __future__ import annotations
@@ -41,20 +42,26 @@ def blas_threads() -> int | None:
 
 class _Helpers:
     """Up to n - 1 helper threads, one per further usable CPU, that run the
-    jobs submitted to them in order, from one queue.Queue(maxsize=bound)
-    (0: unbounded); with no helper, submit runs the job inline. On exit
-    every helper that started is joined, also when the body raised, and
-    then the first exception a job raised is raised; the jobs after it are
-    skipped. A helper drops each job before it awaits the next, so what a
-    job holds is freed by the time wait() returns: a helper that kept its
-    last job until the next get() raised train-lstm's peak_rss_mb from 173
-    to 185 MB.
+    jobs submitted to them in order, from one queue.Queue(maxsize=bound) (0:
+    unbounded); with no helper, submit runs the job inline. Helpers start
+    only while blas_threads() is 1, not where it is None: beside OpenBLAS's
+    own threads (its default, 2 CPUs) `ddkseg segment` of 24 CNN files took
+    4.57 s with window helpers against 3.50 s inline, and an eval BiLSTM
+    stack forward 211 ms against 190 ms. On exit every helper that started
+    is joined, also when the body raised, and then the first exception a job
+    raised is raised; the jobs after it are skipped. A helper drops each job
+    before it awaits the next, so what a job holds is freed by the time
+    wait() returns: a helper that kept its last job until the next get()
+    raised train-lstm's peak_rss_mb from 173 to 185 MB.
     """
 
     def __init__(self, n: int, bound: int = 0):
         self._errors: list[BaseException] = []
         self._queue = queue.Queue(maxsize=bound)
-        self._threads = [threading.Thread(target=self._serve) for _ in range(min(_usable_cpus(), n) - 1)]
+        helpers = min(_usable_cpus(), n) - 1
+        if helpers > 0 and blas_threads() != 1:
+            helpers = 0
+        self._threads = [threading.Thread(target=self._serve) for _ in range(helpers)]
 
     def __enter__(self) -> "_Helpers":
         try:

@@ -3,10 +3,10 @@
 Class indices are fixed package-wide: OTHER=0, VOT=1, VOWEL=2. Argmax ties
 therefore resolve toward OTHER first, then VOT.
 
-Conversion applies three rules in order: group equal-labeled frames into
-maximal runs; relabel too-short VOT (< 5 ms) and vowel (< 20 ms) runs as
-OTHER; then absorb short OTHER gaps (< 20 ms) sitting between two VOT
-segments into a single VOT segment, repeated to a fixpoint.
+Conversion walks the runs of equal-labeled frames once, left to right: a
+VOT run shorter than 5 ms or a vowel run shorter than 20 ms becomes OTHER
+and joins an OTHER before it; and a VOT run that arrives after a VOT and
+an OTHER shorter than 20 ms absorbs both into one VOT segment.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ N_CLASSES = len(LABEL_NAMES)
 MIN_VOT_MS = 5
 MIN_VOWEL_MS = 20
 MAX_VOT_GAP_MS = 20
+_MIN_MS = {VOT: MIN_VOT_MS, VOWEL: MIN_VOWEL_MS}
 
 SEGMENT_CSV_HEADER = ["onset_ms", "offset_ms", "label"]
 
@@ -60,67 +61,24 @@ def validate_sequence(segments: list[Segment]) -> None:
             raise ValueError(f"segments overlap or are unordered: {a} then {b}")
 
 
-def group_frames(frames: np.ndarray) -> list[Segment]:
-    """Run-length encode a 1 ms label sequence into maximal segments."""
-    frames = np.asarray(frames)
-    if frames.size == 0:
-        return []
-    change = np.flatnonzero(np.diff(frames)) + 1
-    bounds = np.concatenate([[0], change, [len(frames)]])
-    return [Segment(int(lo), int(hi), int(frames[lo])) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def _merge_adjacent(segments: list[Segment]) -> list[Segment]:
-    out: list[Segment] = []
-    for seg in segments:
-        if out and out[-1].label == seg.label and out[-1].offset_ms == seg.onset_ms:
-            out[-1] = Segment(out[-1].onset_ms, seg.offset_ms, seg.label)
-        else:
-            out.append(seg)
-    return out
-
-
-def apply_min_durations(segments: list[Segment]) -> list[Segment]:
-    """Relabel sub-threshold VOT/vowel segments as OTHER and re-merge runs."""
-    relabeled = [
-        Segment(s.onset_ms, s.offset_ms, OTHER)
-        if (s.label == VOT and s.duration_ms < MIN_VOT_MS)
-        or (s.label == VOWEL and s.duration_ms < MIN_VOWEL_MS)
-        else s
-        for s in segments
-    ]
-    return _merge_adjacent(relabeled)
-
-
-def merge_vot_gaps(segments: list[Segment]) -> list[Segment]:
-    """Collapse (VOT, short OTHER, VOT) triples into one VOT, to a fixpoint."""
-    segs = list(segments)
-    changed = True
-    while changed:
-        changed = False
-        out: list[Segment] = []
-        i = 0
-        while i < len(segs):
-            if (i + 2 < len(segs)
-                    and segs[i].label == VOT
-                    and segs[i + 1].label == OTHER
-                    and segs[i + 1].duration_ms < MAX_VOT_GAP_MS
-                    and segs[i + 1].onset_ms == segs[i].offset_ms
-                    and segs[i + 2].label == VOT
-                    and segs[i + 2].onset_ms == segs[i + 1].offset_ms):
-                out.append(Segment(segs[i].onset_ms, segs[i + 2].offset_ms, VOT))
-                changed = True
-                i += 3
-            else:
-                out.append(segs[i])
-                i += 1
-        segs = _merge_adjacent(out)
-    return segs
-
-
 def postprocess(frames: np.ndarray) -> list[Segment]:
-    """Frame labels -> segments via grouping, minimum durations, gap merging."""
-    return merge_vot_gaps(apply_min_durations(group_frames(frames)))
+    """Frame labels -> maximal segments, by the rules of the module docstring."""
+    frames = np.asarray(frames)
+    starts = np.flatnonzero(np.diff(frames, prepend=-1)).tolist()  # of each run
+    out: list[list[int]] = []  # [onset, offset, label] of each segment so far
+    for lo, hi in zip(starts, starts[1:] + [len(frames)]):
+        label = int(frames[lo])
+        if hi - lo < _MIN_MS.get(label, 0):
+            label = OTHER
+        if out and out[-1][2] == label:
+            out[-1][1] = hi
+        elif (label == VOT and len(out) > 1 and out[-1][2] == OTHER and out[-2][2] == VOT
+              and out[-1][1] - out[-1][0] < MAX_VOT_GAP_MS):
+            out.pop()
+            out[-1][1] = hi
+        else:
+            out.append([lo, hi, label])
+    return [Segment(*seg) for seg in out]
 
 
 def speech_segments(segments: list[Segment]) -> list[Segment]:

@@ -117,6 +117,18 @@ def generate_trial(spec: TrialSpec) -> tuple[Waveform, list[Segment]]:
     return Waveform(signal, MODEL_RATE_HZ), segments
 
 
+def split_counts(n_trials: int, split_ratios: tuple[float, ...]) -> list[int]:
+    """Trials per split by largest remainder: each split gets the floor of
+    its share, and the trials left over go one each to the largest
+    fractional parts, ties to the earlier split. So the counts sum to
+    n_trials and a 0 ratio gets no trial."""
+    quotas = [n_trials * r for r in split_ratios]
+    counts = [math.floor(q) for q in quotas]
+    for i in sorted(range(len(quotas)), key=lambda i: counts[i] - quotas[i])[:n_trials - sum(counts)]:
+        counts[i] += 1
+    return counts
+
+
 def generate_corpus(n_trials: int, split_ratios: tuple[float, float, float], seed: int,
                     out_dir, syllable_range: tuple[int, int] = (7, 11)) -> Path:
     """Write n_trials wav+csv pairs plus a manifest; returns the manifest path.
@@ -134,10 +146,8 @@ def generate_corpus(n_trials: int, split_ratios: tuple[float, float, float], see
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
 
-    n_val = int(round(n_trials * split_ratios[1]))
-    n_test = int(round(n_trials * split_ratios[2]))
-    n_train = n_trials - n_val - n_test
-    splits = ["train"] * n_train + ["val"] * n_val + ["test"] * n_test
+    counts = split_counts(n_trials, split_ratios)
+    splits = [name for name, count in zip(("train", "val", "test"), counts) for _ in range(count)]
     order = rng.permutation(n_trials)
 
     rows = []

@@ -108,9 +108,10 @@ def _trial_windows(samples: np.ndarray, segments: list[Segment], shift: int) -> 
     return x, labels_for_midpoints(segments, mids).reshape(n_windows, WINDOW_MS)
 
 
-def _epoch_dataset(trials: list[Trial], cfg: TrainConfig,
-                   rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
-    """Windows for one pass; rng enables augmentation + start shifts."""
+def _epoch_dataset(trials: list[Trial], cfg: TrainConfig, rng: np.random.Generator | None,
+                   split: str) -> tuple[np.ndarray, np.ndarray]:
+    """Windows for one pass over the `split` ("training" or "validation")
+    trials; rng enables augmentation + start shifts."""
     xs, ys = [], []
     for trial in trials:
         wave = trial.wave
@@ -124,7 +125,7 @@ def _epoch_dataset(trials: list[Trial], cfg: TrainConfig,
         ys.append(y)
     x, y = np.concatenate(xs), np.concatenate(ys)
     if not len(x):
-        raise DataError("no usable training windows (are all trials shorter than one window?)")
+        raise DataError(f"no usable {split} windows (are all {split} trials shorter than one window?)")
     return x, y
 
 
@@ -157,14 +158,14 @@ def train_model(train_trials: list[Trial], val_trials: list[Trial],
     weights = class_weights(train_trials).astype(np.float64)
     logger.info("class weights (other, vot, vowel): %s", np.round(weights, 3))
 
-    val_x, val_y = _epoch_dataset(val_trials, cfg, rng=None)
+    val_x, val_y = _epoch_dataset(val_trials, cfg, None, "validation")
     adam = nn.init_adam(model.named_params(), lr=cfg.lr)
 
     log: list[dict] = []
     best_epoch, best_acc, best_snapshot = 0, -1.0, model.snapshot()
     stale = 0
     for epoch in range(1, cfg.max_epochs + 1):
-        x, y = _epoch_dataset(train_trials, cfg, rng=rng)
+        x, y = _epoch_dataset(train_trials, cfg, rng, "training")
         order = rng.permutation(len(x))
         epoch_loss, seen = 0.0, 0
         for lo in range(0, len(order), cfg.batch_size):

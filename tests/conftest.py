@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ddkseg.models import ModelConfig
+from ddkseg.nn import threads
 from ddkseg.postproc import N_CLASSES
 
 # Scaled-down clones of the two architectures (2 conv layers, stride
@@ -25,9 +26,12 @@ SMALL_LSTM = ModelConfig(
     lstm_hidden=16, lstm_layers=2, fc_hidden=16)
 
 
-def set_cpus(monkeypatch, n):
-    """Make the process look as if it may run on n CPUs."""
+def set_cpus(monkeypatch, n, blas=1):
+    """Make the process look as if it may run on n CPUs, with BLAS reporting
+    `blas` threads: by default 1, so that helpers start whatever BLAS the
+    test runs with."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(threads, "blas_threads", lambda: blas)
 
 
 def step_inputs(batch, seed=0, dtype=np.float32):

@@ -15,6 +15,8 @@ from ddkseg import cli
 from ddkseg.audio import Waveform, read_wav, write_wav
 from ddkseg.errors import DataError
 from ddkseg.models import ModelConfig, Segmenter, save_checkpoint
+from ddkseg.postproc import write_segments_csv
+from ddkseg.synth import TrialSpec, generate_trial
 from ddkseg.train import TrainConfig
 
 
@@ -231,6 +233,23 @@ def test_manifest_row_with_empty_wav_path_is_data_error(tmp_path, capsys):
     code = cli.main(["train", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out")])
     assert code == cli.EXIT_DATA
     assert "Is a directory" in capsys.readouterr().err
+
+
+def test_train_on_validation_trials_shorter_than_a_window_names_the_split(tmp_path, capsys):
+    # The validation windows are cut first, so this error named the
+    # training split, whose trial is long enough.
+    rows = []
+    for split, syllables in (("train", 6), ("val", 1)):
+        wave, segments = generate_trial(TrialSpec(syllable_count=syllables, seed=1))
+        write_wav(tmp_path / f"{split}.wav", wave)
+        write_segments_csv(tmp_path / f"{split}.csv", segments)
+        rows.append(f"{split}_0,{split}.wav,{split}.csv,{split}\n")
+    assert wave.duration_ms < 1000
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("trial_id,wav_path,labels_path,split\n" + "".join(rows))
+    code = cli.main(["train", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out"), "--epochs", "1"])
+    assert code == cli.EXIT_DATA
+    assert "no usable validation windows (are all validation trials shorter than one window?)" in capsys.readouterr().err
 
 
 @pytest.fixture

@@ -1,0 +1,83 @@
+"""One rule for every helper thread (nn.threads._Helpers): helpers start
+only while BLAS reports one thread, and none start where it reports more
+or cannot be asked (None). predict_file's CNN windows and LSTM stacks, a
+training step and an eval BiLSTM forward all follow it, and their outputs
+are bit-identical whichever threads ran the jobs."""
+
+import threading
+
+import numpy as np
+import pytest
+from conftest import TINY_CNN, TINY_LSTM, assert_same_bits, set_cpus, step_inputs
+
+from ddkseg import nn
+from ddkseg.audio import MODEL_RATE_HZ, SAMPLES_PER_MS, Waveform, cut_windows
+from ddkseg.models import Segmenter, predict_file
+
+CASES = [(cpus, blas) for cpus in (1, 2, 3) for blas in (1, 2, None)]
+
+
+def _run_cases(monkeypatch, run, helpers_at_one_blas_thread):
+    """run() under every (CPUs, BLAS threads) case; checks the threads each
+    started and returns the results by case."""
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    results = {}
+    for cpus, blas in CASES:
+        set_cpus(monkeypatch, cpus, blas=blas)
+        started.clear()
+        results[cpus, blas] = run()
+        want = helpers_at_one_blas_thread(cpus) if blas == 1 else 0
+        assert len(started) == want, (cpus, blas)
+    return results
+
+
+def _wave():
+    # 800k + 600 ms of audio holds k + 1 full windows: 3 here.
+    rng = np.random.default_rng(5)
+    wave = Waveform(0.1 * rng.standard_normal(2200 * SAMPLES_PER_MS), MODEL_RATE_HZ)
+    assert len(cut_windows(wave)) == 3
+    return wave
+
+
+@pytest.mark.parametrize("cfg", [TINY_CNN, TINY_LSTM], ids=["cnn", "lstm"])
+def test_predict_file(monkeypatch, cfg):
+    # A CNN gets one helper per further CPU, up to one per window; an LSTM
+    # runs its one stack of 3 windows on the calling thread, where each
+    # BiLSTM starts one helper of its own.
+    model, wave = Segmenter(cfg, seed=1), _wave()
+    lstm = bool(cfg.lstm_layers)
+    results = _run_cases(monkeypatch, lambda: predict_file(model, wave),
+                         lambda cpus: (cfg.lstm_layers if cpus > 1 else 0) if lstm else min(cpus, 3) - 1)
+    want = results[1, 1]
+    for pred in results.values():
+        assert_same_bits(pred.probs, want.probs)
+        assert_same_bits(pred.labels, want.labels)
+
+
+def test_training_step(monkeypatch):
+    model = Segmenter(TINY_LSTM, seed=2)
+    x, y = step_inputs(2, seed=3)
+    results = _run_cases(monkeypatch, lambda: model.loss_and_grads(x, y, rng=np.random.default_rng(4)),
+                         lambda cpus: int(cpus > 1))
+    want_loss, want_grads = results[1, 1]
+    for loss, grads in results.values():
+        assert loss == want_loss
+        assert grads.keys() == want_grads.keys()
+        for key, want in want_grads.items():
+            assert_same_bits(grads[key], want)
+
+
+def test_eval_bilstm_forward(monkeypatch):
+    rng = np.random.default_rng(6)
+    lstm = nn.BiLSTM(6, 5, rng=rng)
+    x = rng.standard_normal((2, 1000, 6)).astype(np.float32)
+    results = _run_cases(monkeypatch, lambda: lstm.forward(x), lambda cpus: int(cpus > 1))
+    for out in results.values():
+        assert_same_bits(out, results[1, 1])

@@ -21,10 +21,14 @@ from ddkseg.nn.lstm import PROJ_BLOCK
 T_LENS = [0, 1, PROJ_BLOCK - 1, PROJ_BLOCK, PROJ_BLOCK + 1, 1000]
 
 
+_QUERY = threads.blas_threads  # the real query, which set_cpus replaces
+
+
 def _blas(monkeypatch, reported):
     """Make the BLAS query report `reported` threads; "missing" looks up
     a symbol no library exports, so the real query runs and finds none."""
     if reported == "missing":
+        monkeypatch.setattr(threads, "blas_threads", _QUERY)
         monkeypatch.setattr(threads, "BLAS_THREADS_SYMBOL", "no_such_blas_symbol_")
     else:
         monkeypatch.setattr(threads, "blas_threads", lambda: reported)
@@ -74,7 +78,6 @@ def test_eval_forward_matches_sequential_reference(monkeypatch, t_len, cpus, rep
 def test_train_forward_and_backward_match_sequential_reference(monkeypatch, t_len, cpus):
     # Inside a step the projections go to the step's helper.
     set_cpus(monkeypatch, cpus)
-    _blas(monkeypatch, 1)
     lstm, x, dout = _case(t_len)
     want_out, want_dx, want_grads = bilstm_reference(lstm, x, dout)
     with threads._Helpers(2, bound=1) as helpers:
@@ -94,7 +97,6 @@ def test_helper_projects_every_block_after_the_first(monkeypatch):
     # Block 0 is projected on the calling thread, blocks 1 to 15 (T = 1000)
     # on the helper, each once, in order, before its own steps run.
     set_cpus(monkeypatch, 2)
-    _blas(monkeypatch, 1)
     lstm, x, _ = _case(1000)
     calls = []
     original = lstm_module._project
@@ -113,7 +115,6 @@ def test_helper_projects_every_block_after_the_first(monkeypatch):
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_failing_job_reaches_the_caller(monkeypatch, cpus, train):
     set_cpus(monkeypatch, cpus)
-    _blas(monkeypatch, 1)
     lstm, x, _ = _case(1000)
     calls = []
     original = lstm_module._project

@@ -80,7 +80,6 @@ def test_lstm_stacks_run_on_the_calling_thread(monkeypatch, trial, cpus):
     model = Segmenter(TINY_LSTM, seed=1)
     wave = _wave(trial, 8, True)
     started, forwards, window_calls = [], [], []
-    monkeypatch.setattr(threads, "blas_threads", lambda: 1)
 
     class CountedThread(threading.Thread):
         def start(self):

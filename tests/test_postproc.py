@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddkseg.errors import DataError
-from ddkseg.postproc import (MAX_VOT_GAP_MS, MIN_VOT_MS, MIN_VOWEL_MS, OTHER, VOT, VOWEL, Segment,
-                             apply_min_durations, group_frames, merge_vot_gaps, postprocess,
+from ddkseg.postproc import (MAX_VOT_GAP_MS, MIN_VOT_MS, MIN_VOWEL_MS, OTHER, VOT, VOWEL, Segment, postprocess,
                              read_segments_csv, speech_segments, write_segments_csv, write_textgrid)
 
 
@@ -14,8 +13,8 @@ def seg(onset, offset, label):
 
 
 def rasterize(segments: list[Segment], total_ms: int) -> np.ndarray:
-    """Inverse of group_frames: paint segments onto a label array. Frames
-    no segment covers are OTHER."""
+    """Paint segments onto a label array. Frames no segment covers are
+    OTHER."""
     frames = np.full(total_ms, OTHER, dtype=np.int8)
     for s in segments:
         frames[s.onset_ms:min(s.offset_ms, total_ms)] = s.label
@@ -61,40 +60,38 @@ def oracle_postprocess(frames: np.ndarray) -> list[Segment]:
 
 def test_group_frames_examples():
     frames = [VOWEL] * 30 + [OTHER] * 10 + [VOT] * 8
-    assert group_frames(frames) == [seg(0, 30, VOWEL), seg(30, 40, OTHER), seg(40, 48, VOT)]
-    assert group_frames([OTHER] * 100) == [seg(0, 100, OTHER)]
-    alternating = [VOWEL, OTHER] * 3
-    assert len(group_frames(alternating)) == 6
-    assert group_frames([]) == []
+    assert postprocess(frames) == [seg(0, 30, VOWEL), seg(30, 40, OTHER), seg(40, 48, VOT)]
+    assert postprocess([OTHER] * 100) == [seg(0, 100, OTHER)]
+    alternating = [VOWEL, OTHER] * 3  # 1 ms vowels: all OTHER
+    assert postprocess(alternating) == [seg(0, 6, OTHER)]
+    assert postprocess([]) == []
 
 
 def test_group_then_rasterize_roundtrip(rng):
-    frames = rng.integers(0, 3, size=500)
-    segments = group_frames(frames)
-    np.testing.assert_array_equal(rasterize(segments, 500), frames)
+    # Runs of 20 ms or more, which no rule changes.
+    frames = np.repeat(rng.integers(0, 3, size=25), rng.integers(MAX_VOT_GAP_MS, 40, size=25))
+    np.testing.assert_array_equal(rasterize(postprocess(frames), len(frames)), frames)
 
 
 def test_min_duration_rules():
-    out = apply_min_durations([seg(0, 4, VOT), seg(4, 30, VOWEL)])
-    assert out == [seg(0, 4, OTHER), seg(4, 30, VOWEL)]
+    assert postprocess([VOT] * 4 + [VOWEL] * 26) == [seg(0, 4, OTHER), seg(4, 30, VOWEL)]
     # exactly at threshold: kept (strict less-than)
-    assert apply_min_durations([seg(0, 5, VOT)]) == [seg(0, 5, VOT)]
-    assert apply_min_durations([seg(10, 29, VOWEL)]) == [seg(10, 29, OTHER)]
-    assert apply_min_durations([seg(10, 30, VOWEL)]) == [seg(10, 30, VOWEL)]
+    assert postprocess([VOT] * 5) == [seg(0, 5, VOT)]
+    assert postprocess([OTHER] * 10 + [VOWEL] * 19) == [seg(0, 29, OTHER)]
+    assert postprocess([OTHER] * 10 + [VOWEL] * 20) == [seg(0, 10, OTHER), seg(10, 30, VOWEL)]
 
 
 def test_min_duration_merges_neighbours():
-    out = apply_min_durations([seg(0, 10, OTHER), seg(10, 14, VOT), seg(14, 20, OTHER)])
-    assert out == [seg(0, 20, OTHER)]
+    assert postprocess([OTHER] * 10 + [VOT] * 4 + [OTHER] * 6) == [seg(0, 20, OTHER)]
 
 
 def test_merge_vot_gaps_examples():
-    assert merge_vot_gaps([seg(0, 10, VOT), seg(10, 25, OTHER), seg(25, 35, VOT)]) == [seg(0, 35, VOT)]
-    unchanged = [seg(0, 10, VOT), seg(10, 30, OTHER), seg(30, 40, VOT)]
-    assert merge_vot_gaps(unchanged) == unchanged  # gap exactly 20 ms
-    chain = [seg(0, 10, VOT), seg(10, 15, OTHER), seg(15, 25, VOT),
-             seg(25, 30, OTHER), seg(30, 40, VOT)]
-    assert merge_vot_gaps(chain) == [seg(0, 40, VOT)]
+    assert postprocess([VOT] * 10 + [OTHER] * 15 + [VOT] * 10) == [seg(0, 35, VOT)]
+    # gap exactly 20 ms: unchanged
+    assert postprocess([VOT] * 10 + [OTHER] * 20 + [VOT] * 10) == [
+        seg(0, 10, VOT), seg(10, 30, OTHER), seg(30, 40, VOT)]
+    chain = [VOT] * 10 + [OTHER] * 5 + [VOT] * 10 + [OTHER] * 5 + [VOT] * 10
+    assert postprocess(chain) == [seg(0, 40, VOT)]
 
 
 def test_postprocess_rule_order():

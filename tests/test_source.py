@@ -139,3 +139,26 @@ def test_ctypes_in_one_function():
 
         visit(tree, f"{path.relative_to(SRC)}:<module>")
     assert where == {"nn/threads.py:blas_threads"}, f"ctypes is used in {sorted(where)}"
+
+
+def test_blas_is_asked_in_one_place():
+    # Whether a helper thread pays depends on BLAS's thread count, and
+    # _Helpers alone decides whether one starts: a caller that asked BLAS
+    # itself would make a second rule. Any call named blas_threads counts,
+    # bare or as an attribute, wherever it was imported from.
+    where = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+
+        def visit(node, scope):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = scope + (node.name,)
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "blas_threads":
+                    where.add(f"{path.relative_to(SRC)}:{'.'.join(scope) or '<module>'}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(tree, ())
+    assert where == {"nn/threads.py:_Helpers.__init__"}, f"blas_threads( is called in {sorted(where)}"

@@ -1,9 +1,10 @@
 """Segmenter.loss_and_grads hands its layers' weight gradients, and each
 BiLSTM's input projection of the block after the one running, to one helper
-thread when two or more CPUs are usable: the loss, gradients and training
-runs do not depend on the CPU count, a job's error reaches the caller with
-no thread and no layer cache left, one step's gradients survive the next
-step, and exactly one helper starts per step."""
+thread when two or more CPUs are usable and BLAS runs on one thread: the
+loss, gradients and training runs do not depend on the CPU count, a job's
+error reaches the caller with no thread and no layer cache left, one
+step's gradients survive the next step, and exactly one helper starts per
+step, or none beside a threaded BLAS."""
 
 import dataclasses
 import sys
@@ -14,7 +15,7 @@ import pytest
 from conftest import SMALL_LSTM, TINY_CNN, TINY_LSTM, assert_same_bits, held, set_cpus, step_inputs
 
 from ddkseg.models import ModelConfig, Segmenter
-from ddkseg.nn import Layer, threads
+from ddkseg.nn import Layer
 from ddkseg.nn.lstm import PROJ_BLOCK
 from ddkseg.synth import Trial, TrialSpec, generate_trial
 from ddkseg.train import TrainConfig, train_model, write_train_log
@@ -133,7 +134,6 @@ def test_next_step_leaves_returned_grads_alone(monkeypatch, cpus):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_one_helper_per_step_and_none_on_one_cpu(monkeypatch, cpus):
-    set_cpus(monkeypatch, cpus)
     started = []
     job_threads = set()
 
@@ -154,16 +154,21 @@ def test_one_helper_per_step_and_none_on_one_cpu(monkeypatch, cpus):
     monkeypatch.setattr(Layer, "_later", _later)
     model = Segmenter(TINY_LSTM, seed=1)
     x, y = step_inputs(2)
-    for _ in range(2):
-        model.loss_and_grads(x, y, rng=np.random.default_rng(0))
-    assert len(started) == (2 if cpus > 1 else 0)
-    assert job_threads == (set(started) if cpus > 1 else {threading.main_thread()})
-    # An eval forward hands no job to the step's helpers. Each BiLSTM
-    # starts a helper of its own only while BLAS runs on one thread.
-    job_threads.clear()
-    for reported, helpers in ((2, 0), (None, 0), (1, 2 if cpus > 1 else 0)):
-        monkeypatch.setattr(threads, "blas_threads", lambda: reported)
+    # A helper starts only beside a single-threaded BLAS: `reported` is
+    # what the BLAS query returns, None where the library has no query.
+    for reported in (1, 2, None):
+        set_cpus(monkeypatch, cpus, blas=reported)
+        helper = cpus > 1 and reported == 1
+        started.clear()
+        job_threads.clear()
+        for _ in range(2):
+            model.loss_and_grads(x, y, rng=np.random.default_rng(0))
+        assert len(started) == (2 if helper else 0), reported
+        assert job_threads == (set(started) if helper else {threading.main_thread()}), reported
+        # An eval forward hands no job to the step's helpers. Each BiLSTM
+        # starts a helper of its own, by the same rule.
+        job_threads.clear()
         started.clear()
         model.forward(x)
-        assert len(started) == helpers
-    assert not job_threads
+        assert len(started) == (2 if helper else 0), reported
+        assert not job_threads

@@ -1,9 +1,14 @@
 """Invariants of the synthetic corpus generator."""
 
+import csv
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ddkseg.audio import SAMPLES_PER_MS
-from ddkseg.synth import TrialSpec, generate_corpus, generate_trial
+from ddkseg.synth import TrialSpec, generate_corpus, generate_trial, split_counts
 
 
 @pytest.mark.parametrize("spec", [
@@ -30,3 +35,34 @@ def test_same_seed_writes_byte_identical_corpus(tmp_path):
     assert len(files[0]) == 2 * 5 + 1
     for name in files[0]:
         assert (manifests[0].parent / name).read_bytes() == (manifests[1].parent / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("n_trials, ratios, counts", [
+    (5, (0.0, 0.5, 0.5), [0, 3, 2]),
+    (3, (0.0, 0.5, 0.5), [0, 2, 1]),
+    (3, (0.5, 0.5, 0.0), [2, 1, 0]),
+    (100, (0.6, 0.2, 0.2), [60, 20, 20]),
+    (7, (0.6, 0.2, 0.2), [4, 2, 1]),
+])
+def test_split_counts_examples(n_trials, ratios, counts):
+    assert split_counts(n_trials, ratios) == counts
+
+
+@given(n_trials=st.integers(1, 500),
+       weights=st.lists(st.sampled_from([0, 1, 2, 3, 7]), min_size=3, max_size=3).filter(any))
+def test_split_counts_sum_to_the_trials_and_skip_zero_ratios(n_trials, weights):
+    ratios = tuple(w / sum(weights) for w in weights)
+    counts = split_counts(n_trials, ratios)
+    assert sum(counts) == n_trials
+    for count, ratio in zip(counts, ratios):
+        assert math.floor(n_trials * ratio) <= count <= math.floor(n_trials * ratio) + 1
+        if ratio == 0:
+            assert count == 0
+
+
+def test_corpus_splits_follow_the_counts(tmp_path):
+    # Rounding each share on its own put one of these trials in train.
+    manifest = generate_corpus(5, (0.0, 0.5, 0.5), seed=1, out_dir=tmp_path, syllable_range=(1, 1))
+    with open(manifest, newline="") as fh:
+        splits = [row["split"] for row in csv.DictReader(fh)]
+    assert sorted(splits) == ["test"] * 2 + ["val"] * 3

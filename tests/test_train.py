@@ -48,8 +48,8 @@ def test_a_44k_trial_trains_on_the_windows_and_labels_of_its_16k_copy(monkeypatc
     wave44 = resample(wave16, 44100)
     datasets = []
 
-    def spy(trials, cfg, rng):
-        x, y = epoch_dataset(trials, cfg, rng)
+    def spy(trials, cfg, rng, split):
+        x, y = epoch_dataset(trials, cfg, rng, split)
         datasets.append((x.shape, y))
         return x, y
 
