@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -55,18 +56,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--arch", choices=["lstm", "cnn"], default="lstm")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
     p.add_argument("--no-augment", action="store_true")
     p.add_argument("--config", default=None,
-                   help='JSON file {"model": {...}, "train": {...}}: "model" sets ModelConfig fields over '
-                        'the --arch defaults, "train" any of batch_size, lr, max_epochs, patience, augment '
-                        '(the seed comes from --seed). The architecture follows lstm_layers (0 means cnn), '
-                        'and each conv\'s padding is derived from its kernel, stride and dilation. The 1 s '
-                        'analysis window (audio.WINDOW_MS) and the 3 labels (postproc.N_CLASSES) are fixed.')
+                   help='JSON file {"model": {...}} of ModelConfig fields set over the --arch defaults; '
+                        'training is set by the flags above only. The architecture follows lstm_layers '
+                        '(0 means cnn), and each conv\'s padding is derived from its kernel, stride and '
+                        'dilation. The 1 s analysis window (audio.WINDOW_MS) and the 3 labels '
+                        '(postproc.N_CLASSES) are fixed.')
 
     p = sub.add_parser("segment", help="predict segment CSVs for wav files")
     p.add_argument("inputs", nargs="+", metavar="WAV")
@@ -97,20 +98,14 @@ def cmd_synth(args) -> int:
         ratios = ()
     if len(ratios) != 3:
         raise ConfigError(f"--split needs three numeric ratios, got {args.split!r}")
-    if not 1 <= args.min_syllables <= args.max_syllables:
-        raise ConfigError("need 1 <= --min-syllables <= --max-syllables")
-    try:
-        manifest = generate_corpus(args.trials, ratios, args.seed, args.out_dir,
-                                   syllable_range=(args.min_syllables, args.max_syllables))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    print(manifest)
+    print(generate_corpus(args.trials, ratios, args.seed, args.out_dir,
+                          syllable_range=(args.min_syllables, args.max_syllables)))
     return EXIT_OK
 
 
 def _load_train_configs(args) -> tuple[ModelConfig, TrainConfig]:
+    """The model from --arch and --config, the training from its flags."""
     model_over: dict = {}
-    train_over: dict = {}
     if args.config:
         path = Path(args.config)
         if not path.is_file():
@@ -120,30 +115,19 @@ def _load_train_configs(args) -> tuple[ModelConfig, TrainConfig]:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(data, dict):
-            raise ConfigError(f"{path}: expected a JSON object with \"model\" and/or \"train\"")
-        unknown = set(data) - {"model", "train"}
+            raise ConfigError(f'{path}: expected a JSON object {{"model": {{...}}}}')
+        unknown = set(data) - {"model"}
         if unknown:
-            raise ConfigError(f"{path}: unknown top-level keys {sorted(unknown)}")
+            raise ConfigError(f'{path}: invalid config keys {sorted(unknown)}: the file holds only "model". '
+                              "Set training with --epochs, --patience, --batch-size, --lr and --no-augment, "
+                              "and set the seed with --seed")
         model_over = data.get("model", {})
-        train_over = data.get("train", {})
-
+        if not isinstance(model_over, dict):
+            raise ConfigError(f'{path}: "model" must be a JSON object, got {model_over!r}')
     base = ModelConfig.cnn_default() if args.arch == "cnn" else ModelConfig.lstm_default()
-    flags = {"max_epochs": args.epochs, "patience": args.patience, "batch_size": args.batch_size,
-             "lr": args.lr, "augment": False if args.no_augment else None}
-    flags = {k: v for k, v in flags.items() if v is not None}
-    try:
-        unknown = set(train_over) - (set(TrainConfig.__dataclass_fields__) - {"seed"})
-        if unknown:
-            hint = " (set the seed with --seed)" if "seed" in unknown else ""
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}{hint}")
-        model_cfg = ModelConfig.from_dict({**base.to_dict(), **model_over})
-        train = {**train_over, **flags, "seed": args.seed}
-        if "patience" not in train and type(train.get("max_epochs")) is int:
-            # The default patience, cut to an epoch count below it.
-            train["patience"] = min(TrainConfig.patience, train["max_epochs"])
-        train_cfg = TrainConfig(**train)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
+    model_cfg = ModelConfig.from_dict({**base.to_dict(), **model_over})
+    train_cfg = TrainConfig(batch_size=args.batch_size, lr=args.lr, max_epochs=args.epochs,
+                            patience=args.patience, seed=args.seed, augment=not args.no_augment)
     return model_cfg, train_cfg
 
 
@@ -158,7 +142,8 @@ def cmd_train(args) -> int:
     ckpt = out_dir / "checkpoint.npz"
     save_checkpoint(ckpt, result.model,
                     meta={"best_epoch": result.best_epoch, "best_val_acc": result.best_val_acc,
-                          "seed": train_cfg.seed, "arch": model_cfg.architecture})
+                          "seed": train_cfg.seed, "arch": model_cfg.architecture,
+                          "train": dataclasses.asdict(train_cfg)})
     write_train_log(out_dir / "train_log.csv", result.log)
     print(f"{ckpt} best_epoch={result.best_epoch} val_acc={result.best_val_acc:.4f}")
     return EXIT_OK

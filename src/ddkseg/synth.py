@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import MODEL_RATE_HZ, SAMPLES_PER_MS, Waveform, read_wav, write_wav
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .postproc import OTHER, VOT, VOWEL, Segment, read_csv_rows, read_segments_csv, write_segments_csv
 
 MANIFEST_HEADER = ["trial_id", "wav_path", "labels_path", "split"]
@@ -134,14 +134,18 @@ def generate_corpus(n_trials: int, split_ratios: tuple[float, float, float], see
     """Write n_trials wav+csv pairs plus a manifest; returns the manifest path.
 
     Splits are assigned by position after a seeded shuffle so they are
-    disjoint and reproducible.
+    disjoint and reproducible. A trial count below 1, split ratios that are
+    negative, non-finite or do not sum to 1, and a syllable range outside
+    1 <= min <= max raise ConfigError before anything is written.
     """
     if n_trials < 1:
-        raise ValueError(f"trial count must be >= 1, got {n_trials}")
+        raise ConfigError(f"trial count must be >= 1, got {n_trials}")
     if not all(0.0 <= r < math.inf for r in split_ratios):
-        raise ValueError(f"split ratios must be finite and >= 0, got {split_ratios}")
+        raise ConfigError(f"split ratios must be finite and >= 0, got {split_ratios}")
     if abs(sum(split_ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split ratios must sum to 1, got {split_ratios}")
+        raise ConfigError(f"split ratios must sum to 1, got {split_ratios}")
+    if not 1 <= syllable_range[0] <= syllable_range[1]:
+        raise ConfigError(f"syllable range must have 1 <= min <= max, got {syllable_range}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

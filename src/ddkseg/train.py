@@ -37,6 +37,9 @@ CLASS_WEIGHT_CAP = 5.0
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Settings of one training run, checked when made: an invalid one
+    raises ConfigError. A patience of max_epochs or more never stops early."""
+
     batch_size: int = 32
     lr: float = 1e-4
     max_epochs: int = 30
@@ -47,21 +50,19 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("batch_size", "max_epochs", "patience", "seed"):
             if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not (type(self.lr) in (int, float) and 0 < self.lr < math.inf):
-            raise ValueError(f"lr must be a positive number, got {self.lr!r}")
+            raise ConfigError(f"lr must be a positive number, got {self.lr!r}")
         if type(self.augment) is not bool:
-            raise ValueError(f"augment must be true or false, got {self.augment!r}")
+            raise ConfigError(f"augment must be true or false, got {self.augment!r}")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise ConfigError("seed must be >= 0")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ConfigError("batch_size must be >= 1")
         if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
+            raise ConfigError("max_epochs must be >= 1")
         if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.patience > self.max_epochs:
-            raise ValueError("patience cannot exceed max_epochs")
+            raise ConfigError("patience must be >= 1")
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Exit-code contract of the CLI: bad user input exits 1 (usage/config) or
 2 (data), never 3 (internal error)."""
 
+import dataclasses
 import json
 import re
 
@@ -14,7 +15,7 @@ from test_models import _four_classes, _rewrite
 from ddkseg import cli
 from ddkseg.audio import Waveform, read_wav, write_wav
 from ddkseg.errors import DataError
-from ddkseg.models import ModelConfig, Segmenter, save_checkpoint
+from ddkseg.models import ModelConfig, Segmenter, load_checkpoint, save_checkpoint
 from ddkseg.postproc import write_segments_csv
 from ddkseg.synth import TrialSpec, generate_trial
 from ddkseg.train import TrainConfig
@@ -30,6 +31,22 @@ def test_synth_negative_or_non_finite_split_is_usage_error(tmp_path, capsys, spl
     out = tmp_path / "corpus"
     assert cli.main(["synth", "--out-dir", str(out), "--trials", "10", "--split", split]) == cli.EXIT_USAGE
     assert "split ratios must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("low, high", [("0", "3"), ("-2", "-1"), ("5", "4")])
+def test_synth_syllable_range_out_of_order_is_usage_error(tmp_path, capsys, low, high):
+    out = tmp_path / "corpus"
+    assert cli.main(["synth", "--out-dir", str(out), "--trials", "2",
+                     "--min-syllables", low, "--max-syllables", high]) == cli.EXIT_USAGE
+    assert "syllable range must have 1 <= min <= max" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_split_not_summing_to_one_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert cli.main(["synth", "--out-dir", str(out), "--trials", "2", "--split", "0.5,0.5,0.5"]) == cli.EXIT_USAGE
+    assert "split ratios must sum to 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -86,7 +103,7 @@ def test_rate_window_that_is_no_window_is_usage_error(tmp_path, capsys, window, 
 
 
 def test_train_with_fewer_epochs_than_the_default_patience(tmp_path):
-    # No patience given: the default is cut to the epoch count.
+    # No patience given: the default never stops a run of fewer epochs.
     corpus = tmp_path / "corpus"
     assert cli.main(["synth", "--out-dir", str(corpus), "--trials", "3", "--split", "0.5,0.5,0",
                      "--min-syllables", "3", "--max-syllables", "3"]) == cli.EXIT_OK
@@ -97,6 +114,26 @@ def test_train_with_fewer_epochs_than_the_default_patience(tmp_path):
     assert cli.main(["train", "--manifest", str(corpus / "manifest.csv"), "--out-dir", str(out),
                      "--config", str(config), "--epochs", "2", "--batch-size", "4", "--no-augment"]) == cli.EXIT_OK
     assert len((out / "train_log.csv").read_text().splitlines()) == 3
+
+
+def test_train_with_patience_above_epochs_records_its_settings(tmp_path):
+    # A patience at or above the epoch count never stops early, and the
+    # checkpoint's meta records every training setting.
+    corpus = tmp_path / "corpus"
+    assert cli.main(["synth", "--out-dir", str(corpus), "--trials", "3", "--split", "0.5,0.5,0",
+                     "--min-syllables", "3", "--max-syllables", "3"]) == cli.EXIT_OK
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": TINY_LSTM.to_dict()}))
+    out = tmp_path / "out"
+    assert cli.main(["train", "--manifest", str(corpus / "manifest.csv"), "--out-dir", str(out),
+                     "--config", str(config), "--patience", "9", "--epochs", "2", "--batch-size", "4",
+                     "--lr", "0.002", "--seed", "3"]) == cli.EXIT_OK
+    assert len((out / "train_log.csv").read_text().splitlines()) == 3
+    _, meta = load_checkpoint(out / "checkpoint.npz")
+    assert meta["train"] == dataclasses.asdict(TrainConfig(batch_size=4, lr=0.002, max_epochs=2, patience=9,
+                                                           seed=3, augment=True))
+    assert {"best_epoch", "best_val_acc", "seed", "arch"} <= set(meta)
+    assert (meta["seed"], meta["arch"]) == (3, "lstm")
 
 
 def test_train_that_diverges_is_usage_error(tmp_path, capsys):
@@ -133,18 +170,18 @@ def test_train_whose_loss_diverges_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("train, flags, message", [
-    ({"batch_size": 0}, [], "batch_size must be >= 1"),
-    ({"patience": 99}, [], "patience cannot exceed max_epochs"),
-    ({"batch_size": "eight"}, [], "invalid config"),
     ({}, ["--batch-size", "0"], "batch_size must be >= 1"),
-    ({"patience": 4}, ["--epochs", "3"], "patience cannot exceed max_epochs"),
+    ({"lr": 0.001}, [], "Set training with --epochs, --patience, --batch-size, --lr and --no-augment"),
+    ({"batch_size": "eight"}, [], "invalid config"),
+    ({}, ["--batch-size", "-1"], "batch_size must be >= 1"),
+    ({"max_epochs": 3}, ["--epochs", "3"], "invalid config keys ['train']"),
     ({"seed": 3}, [], "set the seed with --seed"),
-    ({"window_ms": 500}, [], "unknown train config keys: ['window_ms']"),
-    ({"lr": "fast"}, [], "lr must be a positive number, got 'fast'"),
-    ({"lr": 0}, [], "lr must be a positive number, got 0"),
-    ({"max_epochs": 3.5, "patience": 2}, [], "max_epochs must be an integer, got 3.5"),
-    ({"patience": True}, [], "patience must be an integer, got True"),
-    ({"augment": "yes"}, [], "augment must be true or false, got 'yes'"),
+    ({}, ["--lr", "-0.5"], "lr must be a positive number, got -0.5"),
+    ({}, ["--lr", "nan"], "lr must be a positive number, got nan"),
+    ({}, ["--lr", "0"], "lr must be a positive number, got 0"),
+    ({}, ["--lr", "inf"], "lr must be a positive number, got inf"),
+    ({"augment": False}, ["--no-augment"], "invalid config keys ['train']"),
+    ({}, ["--epochs", "-1"], "max_epochs must be >= 1"),
     ({}, ["--seed", "-1"], "seed must be >= 0"),
     ({}, ["--epochs", "0", "--patience", "0"], "max_epochs must be >= 1"),
     ({}, ["--epochs", "-3", "--patience", "-5"], "max_epochs must be >= 1"),
@@ -152,8 +189,10 @@ def test_train_whose_loss_diverges_is_usage_error(tmp_path, capsys):
     ({}, ["--patience", "0"], "patience must be >= 1"),
 ])
 def test_train_bad_config_is_usage_error(tmp_path, capsys, train, flags, message):
+    # Training is set by flags only: a "train" section in --config exits 1,
+    # naming the flags, even where it agrees with them.
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"train": train}))
+    config.write_text(json.dumps({"train": train} if train else {}))
     # The configuration is checked before the manifest is opened.
     code = cli.main(["train", "--manifest", str(tmp_path / "missing.csv"), "--out-dir", str(tmp_path / "out"),
                      "--config", str(config), *flags])
@@ -161,13 +200,16 @@ def test_train_bad_config_is_usage_error(tmp_path, capsys, train, flags, message
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["5", "[]", '{"train": 5}', '{"model": []}', '{"model": 5}'])
-def test_train_config_of_wrong_json_shape_is_usage_error(tmp_path, text):
+@pytest.mark.parametrize("text", ["5", "[]", '{"train": 5}', '{"model": []}', '{"model": 5}',
+                                  '{"model": null}', '{"optimizer": {}}'])
+def test_train_config_of_wrong_json_shape_is_usage_error(tmp_path, capsys, text):
     config = tmp_path / "config.json"
     config.write_text(text)
     code = cli.main(["train", "--manifest", str(tmp_path / "missing.csv"), "--out-dir", str(tmp_path / "out"),
                      "--config", str(config)])
     assert code == cli.EXIT_USAGE
+    assert re.search(r"expected a JSON object|invalid config keys|\"model\" must be a JSON object",
+                     capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("model, message", [

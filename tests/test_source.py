@@ -1,7 +1,11 @@
 """Checks on the package source itself (no linter is installed)."""
 
+import argparse
 import ast
 from pathlib import Path
+
+from ddkseg import cli
+from ddkseg.train import TrainConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ddkseg"
 
@@ -162,3 +166,16 @@ def test_blas_is_asked_in_one_place():
 
         visit(tree, ())
     assert where == {"nn/threads.py:_Helpers.__init__"}, f"blas_threads( is called in {sorted(where)}"
+
+
+def test_each_training_setting_has_one_flag():
+    # --config holds the model only, so each TrainConfig field has one
+    # source: its `ddkseg train` flag. A second flag for a field, or a new
+    # option beside the known ones, fails here.
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = [a.dest for a in sub.choices["train"]._actions]
+    field_of = {"epochs": "max_epochs", "no_augment": "augment"}
+    fields = [field_of.get(d, d) for d in dests]
+    assert sorted(f for f in fields if f in TrainConfig.__dataclass_fields__) == sorted(TrainConfig.__dataclass_fields__)
+    assert sorted(f for f in fields if f not in TrainConfig.__dataclass_fields__) == [
+        "arch", "config", "help", "manifest", "out_dir"]

@@ -2,12 +2,14 @@
 
 import csv
 import math
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ddkseg.audio import SAMPLES_PER_MS
+from ddkseg.errors import ConfigError
 from ddkseg.synth import TrialSpec, generate_corpus, generate_trial, split_counts
 
 
@@ -66,3 +68,18 @@ def test_corpus_splits_follow_the_counts(tmp_path):
     with open(manifest, newline="") as fh:
         splits = [row["split"] for row in csv.DictReader(fh)]
     assert sorted(splits) == ["test"] * 2 + ["val"] * 3
+
+
+@pytest.mark.parametrize("n_trials, ratios, syllable_range, message", [
+    (0, (0.6, 0.2, 0.2), (7, 11), "trial count must be >= 1, got 0"),
+    (5, (0.6, -0.2, 0.6), (7, 11), "split ratios must be finite and >= 0"),
+    (5, (math.nan, 0.5, 0.5), (7, 11), "split ratios must be finite and >= 0"),
+    (5, (0.5, 0.5, 0.5), (7, 11), "split ratios must sum to 1"),
+    (5, (0.6, 0.2, 0.2), (0, 3), "syllable range must have 1 <= min <= max, got (0, 3)"),
+    (5, (0.6, 0.2, 0.2), (5, 4), "syllable range must have 1 <= min <= max, got (5, 4)"),
+], ids=["no-trials", "negative-ratio", "nan-ratio", "ratios-over-1", "min-0", "min-above-max"])
+def test_an_invalid_corpus_request_is_config_error(tmp_path, n_trials, ratios, syllable_range, message):
+    out = tmp_path / "corpus"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        generate_corpus(n_trials, ratios, seed=0, out_dir=out, syllable_range=syllable_range)
+    assert not out.exists()

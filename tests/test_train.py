@@ -1,12 +1,16 @@
-"""train_model is deterministic given a seed, and trains at 16 kHz whatever the corpus rate."""
+"""train_model is deterministic given a seed, and trains at 16 kHz whatever the corpus rate;
+TrainConfig checks itself."""
 
 import dataclasses
+import re
 
 import numpy as np
+import pytest
 from conftest import TINY_LSTM
 
 from ddkseg import train
 from ddkseg.audio import MODEL_RATE_HZ, Waveform, resample
+from ddkseg.errors import ConfigError
 from ddkseg.models import Segmenter
 from ddkseg.synth import Trial, TrialSpec, generate_trial
 from ddkseg.train import TrainConfig, train_model, write_train_log
@@ -62,3 +66,19 @@ def test_a_44k_trial_trains_on_the_windows_and_labels_of_its_16k_copy(monkeypatc
     for (shape16, y16), (shape44, y44) in ((val16, val44), (train16, train44)):
         assert shape16 == shape44 == (2, 1, 16000)
         np.testing.assert_array_equal(y16, y44)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("batch_size", "eight", "batch_size must be an integer, got 'eight'"),
+    ("lr", "fast", "lr must be a positive number, got 'fast'"),
+    ("max_epochs", 3.5, "max_epochs must be an integer, got 3.5"),
+    ("patience", True, "patience must be an integer, got True"),
+    ("augment", "yes", "augment must be true or false, got 'yes'"),
+    ("seed", None, "seed must be an integer, got None"),
+    ("lr", 0, "lr must be a positive number, got 0"),
+    ("batch_size", 0, "batch_size must be >= 1"),
+], ids=["batch_size-str", "lr-str", "max_epochs-float", "patience-bool", "augment-str", "seed-None", "lr-0",
+        "batch_size-0"])
+def test_an_invalid_train_config_is_config_error(field, value, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        TrainConfig(**{field: value})
