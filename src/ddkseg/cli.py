@@ -20,6 +20,7 @@ from pathlib import Path
 from .errors import ConfigError, DataError
 from .metrics import ddk_rate, ddk_rate_vot_only, evaluate_pairs
 from .models import ModelConfig, load_checkpoint, predict_file, save_checkpoint
+from .nn import threads
 from .postproc import postprocess, read_csv_rows, read_segments_csv, write_segments_csv, write_textgrid
 from .synth import generate_corpus, load_manifest
 from .train import TrainConfig, train_model, write_train_log
@@ -303,6 +304,10 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
+    # The command runs with BLAS on one thread: the helper threads start
+    # only then (ddkseg.nn.threads), and a training run's weights then do
+    # not depend on the CPU count. The caller's count comes back after.
+    blas_before = threads.blas_threads(1)
     try:
         return COMMANDS[args.command](args)
     except ConfigError as exc:
@@ -318,6 +323,9 @@ def main(argv=None) -> int:
         logger.exception("internal error")
         print(f"ddkseg: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if blas_before is not None:
+            threads.blas_threads(blas_before)
 
 
 if __name__ == "__main__":

@@ -21,10 +21,22 @@ train forward until its own backward and no longer: a layer runs backward
 once per train forward (a second backward, or one after an eval forward,
 raises ValueError; dropout's passes dout on). forward(x) with
 train=False is the inference path: the layer keeps nothing for backward
-(and drops any cache an earlier forward left), and it may write its output
-into x's memory, so the caller must not need x again. It also takes
-cheaper kernels: batchnorm applies one per-channel scale and shift, and
-leaky ReLU is one maximum.
+(and drops any cache an earlier forward left). In both modes a forward
+may write its output into x's memory, so the caller must not need x
+again; dropout's backward likewise writes into dout. In a Segmenter
+every other layer's input is an array the layer below made, and conv 0,
+whose input is the caller's batch, writes into a new one, so the model
+never writes into that batch.
+
+The training kernels make few passes and few temporaries, and each
+element still goes through the same floating-point operations in the same
+order as the plain textbook form (tests/backward_reference.py checks the
+bits): leaky ReLU is eval's maximum, and its backward multiplies dout by
+a factor that is exactly LEAKY_SLOPE or 1, not an np.where select;
+batchnorm takes x - mean once for both the variance (x.var's own steps,
+the squares in x's memory) and xhat, writes its output into x, and runs
+its backward through two buffers; dropout multiplies in place. Eval
+batchnorm applies one per-channel scale and shift.
 
 Weight gradients: Conv1d, Linear and the BiLSTM put their parameter
 gradients in self.grads as soon as backward has its dx, but fill them
@@ -224,38 +236,54 @@ class BatchNorm1d(Layer):
             return x
         n = x.shape[0] * x.shape[2]
         mean = x.mean(axis=(0, 2))
-        var = x.var(axis=(0, 2))
+        # x.var's own steps, sharing x - mean with xhat: the squares go into
+        # x's memory, which then takes the output.
+        xhat = x - mean[None, :, None]
+        np.square(xhat, out=x)
+        var = np.add.reduce(x, axis=(0, 2)) / n
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
+        xhat *= inv_std[None, :, None]
         unbiased = var * (n / (n - 1)) if n > 1 else var
         self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
         self.running_var += BN_MOMENTUM * (unbiased - self.running_var)
         self._cache = (xhat, inv_std)
-        return self.params["gamma"][None, :, None] * xhat + self.params["beta"][None, :, None]
+        np.multiply(self.params["gamma"][None, :, None], xhat, out=x)
+        x += self.params["beta"][None, :, None]
+        return x
 
     def backward(self, dout):
         xhat, inv_std = self._take_cache()
         gamma = self.params["gamma"]
-        self.grads["gamma"] = (dout * xhat).sum(axis=(0, 2))
-        self.grads["beta"] = dout.sum(axis=(0, 2))
         n = dout.shape[0] * dout.shape[2]
-        dxhat = dout * gamma[None, :, None]
-        sum_dxhat = dxhat.sum(axis=(0, 2))[None, :, None]
-        sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2))[None, :, None]
-        return (inv_std[None, :, None] / n) * (n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+        # The textbook expression, evaluated in its own order through two
+        # buffers: dx = (inv_std / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
+        # with dxhat = dout * gamma.
+        dx = np.empty(dout.shape, dtype=np.result_type(dout, xhat))
+        term = np.empty_like(dx)
+        self.grads["gamma"] = np.add.reduce(np.multiply(dout, xhat, out=term), axis=(0, 2))
+        self.grads["beta"] = np.add.reduce(dout, axis=(0, 2))
+        np.multiply(dout, gamma[None, :, None], out=dx)
+        sum_dxhat = np.add.reduce(dx, axis=(0, 2))[None, :, None]
+        sum_dxhat_xhat = np.add.reduce(np.multiply(dx, xhat, out=term), axis=(0, 2))[None, :, None]
+        dx *= n
+        dx -= sum_dxhat
+        dx -= np.multiply(xhat, sum_dxhat_xhat, out=term)
+        return np.multiply(inv_std[None, :, None] / n, dx, out=dx)
 
 
 class LeakyReLU(Layer):
     def forward(self, x, train=False, rng=None):
-        if not train:
-            self._cache = None
-            return np.maximum(x, x * x.dtype.type(LEAKY_SLOPE), out=x)
-        neg = x < 0
-        self._cache = neg
-        return np.where(neg, x * x.dtype.type(LEAKY_SLOPE), x)
+        self._cache = x < 0 if train else None
+        return np.maximum(x, x * x.dtype.type(LEAKY_SLOPE), out=x)
 
     def backward(self, dout):
-        return np.where(self._take_cache(), dout * dout.dtype.type(LEAKY_SLOPE), dout)
+        neg = self._take_cache()
+        # Exactly LEAKY_SLOPE where x < 0 and 1 elsewhere, so each product
+        # is dout * LEAKY_SLOPE or dout itself.
+        factor = neg * dout.dtype.type(LEAKY_SLOPE)
+        factor += ~neg
+        factor *= dout
+        return factor
 
 
 class Dropout(Layer):
@@ -288,9 +316,9 @@ class Dropout(Layer):
         return self._apply(dout, self._take_cache())
 
     def _apply(self, x, keep):
-        out = x * keep
-        out *= x.dtype.type(1) / (1.0 - self.p)
-        return out
+        np.multiply(x, keep, out=x)
+        x *= x.dtype.type(1) / (1.0 - self.p)
+        return x
 
 
 class Linear(Layer):

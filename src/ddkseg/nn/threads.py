@@ -4,7 +4,9 @@ _Helpers is the one way work reaches another CPU: predict_file shares a
 CNN file's windows with it, a Segmenter.loss_and_grads step hands it its
 layers' jobs (see ddkseg.nn.layers), and an eval BiLSTM.forward its
 next block's input projection (see ddkseg.nn.lstm). It alone decides
-whether a helper starts, so no caller asks BLAS anything.
+whether a helper starts, so no caller asks BLAS anything. Only cli.main,
+which owns the process, sets BLAS to one thread around each command, so
+that helpers start there in the default environment too.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ import threading
 import numpy as np
 
 # numpy's bundled OpenBLAS (numpy 2 wheels) exports its thread-count query
-# under this name; other builds may not.
+# and setter under these names; other builds may not.
 BLAS_THREADS_SYMBOL = "scipy_openblas_get_num_threads64_"
+BLAS_SET_THREADS_SYMBOL = "scipy_openblas_set_num_threads64_"
 
 
 def _usable_cpus() -> int:
@@ -28,16 +31,26 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def blas_threads() -> int | None:
+def blas_threads(count: int | None = None) -> int | None:
     """The thread count numpy's BLAS runs its GEMMs with, or None where the
-    BLAS numpy loaded exports no BLAS_THREADS_SYMBOL (about 30 us a call)."""
+    BLAS numpy loaded exports no BLAS_THREADS_SYMBOL (about 30 us a call).
+    Given a count, also set BLAS to that many threads and return the count
+    it had before; where it exports no BLAS_SET_THREADS_SYMBOL, set nothing
+    and return None."""
     try:
-        query = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), BLAS_THREADS_SYMBOL)
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        query = getattr(lib, BLAS_THREADS_SYMBOL)
+        setter = None if count is None else getattr(lib, BLAS_SET_THREADS_SYMBOL)
     except (AttributeError, OSError):
         return None
     query.argtypes = []
     query.restype = ctypes.c_int
-    return query()
+    previous = query()
+    if setter is not None:
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(count)
+    return previous
 
 
 class _Helpers:

@@ -1,14 +1,16 @@
-"""Training layers that keep their backward state in the larger form:
-Conv1d keeps its im2col columns, Dropout a float mask, and the BiLSTM
+"""Training layers in their plainer, larger form: Conv1d keeps its im2col
+columns, Dropout a float mask, BatchNorm1d takes x.var and allocates every
+intermediate, LeakyReLU selects with np.where, and the BiLSTM keeps
 tanh(cell) for every step plus a separate (2, time, batch, 4H) array of
 gate gradients. Each function runs a train forward and its backward with
-a layer's parameters, so the slimmer caches of ddkseg.nn can be checked
-against them bit for bit. Kept only as oracles."""
+a layer's parameters, so the slimmer caches and in-place kernels of
+ddkseg.nn can be checked against them bit for bit. Kept only as oracles."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from ddkseg.nn.layers import BN_EPS, LEAKY_SLOPE
 from ddkseg.nn.lstm import PROJ_BLOCK
 
 
@@ -44,6 +46,33 @@ def dropout_reference(p, x, dout, rng):
     keep = rng.random(x.shape, dtype=np.float32) >= p
     mask = keep.astype(x.dtype) / (1.0 - p)
     return x * mask, dout * mask
+
+
+def batchnorm_reference(bn, x, dout):
+    """(out, dx, dgamma, dbeta) of train-mode `bn` on x, from x.mean, x.var
+    and the textbook backward expression; the running moments are not
+    touched."""
+    mean = x.mean(axis=(0, 2))
+    var = x.var(axis=(0, 2))
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
+    gamma = bn.params["gamma"]
+    out = gamma[None, :, None] * xhat + bn.params["beta"][None, :, None]
+    dgamma = (dout * xhat).sum(axis=(0, 2))
+    dbeta = dout.sum(axis=(0, 2))
+    n = dout.shape[0] * dout.shape[2]
+    dxhat = dout * gamma[None, :, None]
+    sum_dxhat = dxhat.sum(axis=(0, 2))[None, :, None]
+    sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2))[None, :, None]
+    dx = (inv_std[None, :, None] / n) * (n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+    return out, dx, dgamma, dbeta
+
+
+def leaky_relu_reference(x, dout):
+    """(out, dx) of a train-mode leaky ReLU, two np.where selects."""
+    neg = x < 0
+    return (np.where(neg, x * x.dtype.type(LEAKY_SLOPE), x),
+            np.where(neg, dout * dout.dtype.type(LEAKY_SLOPE), dout))
 
 
 def bilstm_reference(lstm, x, dout):

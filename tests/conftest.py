@@ -31,7 +31,7 @@ def set_cpus(monkeypatch, n, blas=1):
     `blas` threads: by default 1, so that helpers start whatever BLAS the
     test runs with."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    monkeypatch.setattr(threads, "blas_threads", lambda: blas)
+    monkeypatch.setattr(threads, "blas_threads", lambda count=None: blas)
 
 
 def step_inputs(batch, seed=0, dtype=np.float32):

@@ -2,7 +2,8 @@
 only while BLAS reports one thread, and none start where it reports more
 or cannot be asked (None). predict_file's CNN windows and LSTM stacks, a
 training step and an eval BiLSTM forward all follow it, and their outputs
-are bit-identical whichever threads ran the jobs."""
+are bit-identical whichever threads ran the jobs. The CLI runs each
+command with BLAS on one thread and gives the caller its count back."""
 
 import threading
 
@@ -10,9 +11,11 @@ import numpy as np
 import pytest
 from conftest import TINY_CNN, TINY_LSTM, assert_same_bits, set_cpus, step_inputs
 
-from ddkseg import nn
+from ddkseg import cli, nn
 from ddkseg.audio import MODEL_RATE_HZ, SAMPLES_PER_MS, Waveform, cut_windows
+from ddkseg.errors import DataError
 from ddkseg.models import Segmenter, predict_file
+from ddkseg.nn import threads
 
 CASES = [(cpus, blas) for cpus in (1, 2, 3) for blas in (1, 2, None)]
 
@@ -81,3 +84,88 @@ def test_eval_bilstm_forward(monkeypatch):
     results = _run_cases(monkeypatch, lambda: lstm.forward(x), lambda cpus: int(cpus > 1))
     for out in results.values():
         assert_same_bits(out, results[1, 1])
+
+
+# cli.main pins BLAS to one thread around each command, so that helpers
+# start in the default environment too, and restores the caller's count.
+
+class _FakeBlas:
+    """blas_threads as OpenBLAS at `threads` threads answers it, or as a
+    BLAS without the setter (settable=False) does."""
+
+    def __init__(self, threads_now=2, settable=True):
+        self.threads = threads_now
+        self.settable = settable
+        self.calls = []
+
+    def __call__(self, count=None):
+        self.calls.append(count)
+        if count is None:
+            return self.threads
+        if not self.settable:
+            return None
+        previous, self.threads = self.threads, count
+        return previous
+
+
+def _rate_argv(tmp_path):
+    return ["rate", str(tmp_path / "in.csv"), "--out", str(tmp_path / "out.csv")]
+
+
+@pytest.mark.parametrize("outcome, code", [
+    (None, cli.EXIT_OK), (DataError("bad data"), cli.EXIT_DATA), (RuntimeError("bug"), cli.EXIT_INTERNAL)])
+def test_cli_runs_each_command_on_one_blas_thread(monkeypatch, tmp_path, outcome, code):
+    blas = _FakeBlas(threads_now=2)
+    monkeypatch.setattr(threads, "blas_threads", blas)
+    seen = []
+
+    def command(args):
+        seen.append(blas.threads)
+        if outcome is not None:
+            raise outcome
+        return cli.EXIT_OK
+
+    monkeypatch.setitem(cli.COMMANDS, "rate", command)
+    assert cli.main(_rate_argv(tmp_path)) == code
+    assert seen == [1]
+    assert blas.threads == 2 and blas.calls == [1, 2]
+
+
+def test_cli_restores_blas_threads_when_the_command_is_interrupted(monkeypatch, tmp_path):
+    blas = _FakeBlas(threads_now=3)
+    monkeypatch.setattr(threads, "blas_threads", blas)
+
+    def command(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli.COMMANDS, "rate", command)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(_rate_argv(tmp_path))
+    assert blas.threads == 3 and blas.calls == [1, 3]
+
+
+def test_cli_sets_nothing_where_blas_has_no_setter(monkeypatch, tmp_path):
+    blas = _FakeBlas(threads_now=2, settable=False)
+    monkeypatch.setattr(threads, "blas_threads", blas)
+    monkeypatch.setitem(cli.COMMANDS, "rate", lambda args: cli.EXIT_OK)
+    assert cli.main(_rate_argv(tmp_path)) == cli.EXIT_OK
+    assert blas.threads == 2 and blas.calls == [1]
+
+
+def test_blas_setter_returns_the_previous_count_and_restores_it(monkeypatch, tmp_path):
+    before = threads.blas_threads()
+    if before is None:
+        pytest.skip("numpy's BLAS exports no thread-count query")
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "rate", lambda args: seen.append(threads.blas_threads()) or cli.EXIT_OK)
+    assert cli.main(_rate_argv(tmp_path)) == cli.EXIT_OK
+    assert seen == [1] and threads.blas_threads() == before
+    try:
+        assert threads.blas_threads(1) == before
+        assert threads.blas_threads() == 1
+    finally:
+        assert threads.blas_threads(before) == 1
+    assert threads.blas_threads() == before
+    monkeypatch.setattr(threads, "BLAS_SET_THREADS_SYMBOL", "no_such_blas_symbol_")
+    assert threads.blas_threads(1) is None
+    assert threads.blas_threads() == before

@@ -128,7 +128,7 @@ def test_batchnorm_constant_channel_zeros():
 def test_batchnorm_running_moments():
     bn = nn.BatchNorm1d(1, dtype=np.float64)
     x = np.random.default_rng(0).standard_normal((4, 1, 100)) + 2.0
-    bn.forward(x, train=True)
+    bn.forward(x.copy(), train=True)  # a train forward may write into its input
     n = x.size
     expected_mean = 0.9 * 0.0 + 0.1 * x.mean()
     expected_var = 0.9 * 1.0 + 0.1 * x.var() * n / (n - 1)

@@ -122,8 +122,9 @@ def test_threads_start_in_one_place():
 
 
 def test_ctypes_in_one_function():
-    # Native calls are kept to the one BLAS thread-count query, whose
-    # missing symbol falls back to no helper (tests/test_lstm_pipeline.py).
+    # Native calls are kept to the one BLAS thread-count query and setter,
+    # whose missing symbols fall back to no helper and no pin
+    # (tests/test_lstm_pipeline.py, tests/test_helper_rule.py).
     where = set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -145,11 +146,14 @@ def test_ctypes_in_one_function():
     assert where == {"nn/threads.py:blas_threads"}, f"ctypes is used in {sorted(where)}"
 
 
-def test_blas_is_asked_in_one_place():
+def test_blas_is_asked_in_two_places():
     # Whether a helper thread pays depends on BLAS's thread count, and
     # _Helpers alone decides whether one starts: a caller that asked BLAS
-    # itself would make a second rule. Any call named blas_threads counts,
-    # bare or as an attribute, wherever it was imported from.
+    # itself would make a second rule. The one other caller is cli.main,
+    # which owns the process and so alone may set the count: it pins BLAS
+    # to one thread around each command and restores it after. Any call
+    # named blas_threads counts, bare or as an attribute, wherever it was
+    # imported from.
     where = set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -165,7 +169,7 @@ def test_blas_is_asked_in_one_place():
                 visit(child, scope)
 
         visit(tree, ())
-    assert where == {"nn/threads.py:_Helpers.__init__"}, f"blas_threads( is called in {sorted(where)}"
+    assert where == {"nn/threads.py:_Helpers.__init__", "cli.py:main"}, f"blas_threads( is called in {sorted(where)}"
 
 
 def test_each_training_setting_has_one_flag():
@@ -179,3 +183,18 @@ def test_each_training_setting_has_one_flag():
     assert sorted(f for f in fields if f in TrainConfig.__dataclass_fields__) == sorted(TrainConfig.__dataclass_fields__)
     assert sorted(f for f in fields if f not in TrainConfig.__dataclass_fields__) == [
         "arch", "config", "help", "manifest", "out_dir"]
+
+
+def test_no_where_selects_in_the_kernels():
+    # np.where allocates its output and both branches: on a (4, 128, 1000)
+    # float32 activation with a random sign mask, np.where(x < 0, x * s, x)
+    # took 3.5 ms against 0.38 ms for np.maximum(x, x * s, out=x), and a
+    # masked np.multiply(..., where=...) 4.7 ms. Select with exact
+    # arithmetic instead (see LeakyReLU).
+    found = []
+    for path in sorted((SRC / "nn").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "where"
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"):
+                found.append(f"nn/{path.relative_to(SRC / 'nn')}:{node.lineno}")
+    assert not found, "np.where( under src/ddkseg/nn:\n" + "\n".join(found)

@@ -41,6 +41,22 @@ def test_loss_and_grads_do_not_depend_on_cpu_count(monkeypatch, name, dtype):
             assert_same_bits(steps[cpus][1][key], want)
 
 
+@pytest.mark.parametrize("name", ["tiny_cnn", "small_lstm", "default_lstm"])
+def test_loss_and_grads_leave_the_batch_unchanged(name):
+    # A train forward may write its output into its input's memory
+    # (ddkseg.nn.layers), but conv 0 writes into a new array: the caller's
+    # batch survives the step, so a second step on it gives the same bits.
+    model = Segmenter(CONFIGS[name], seed=2)
+    x, y = step_inputs(4, seed=7)
+    before = x.copy()
+    steps = [model.loss_and_grads(x, y, rng=np.random.default_rng(8)) for _ in range(2)]
+    assert_same_bits(x, before)
+    (loss, grads), (loss_again, grads_again) = steps
+    assert loss_again == loss and grads_again.keys() == grads.keys()
+    for key, want in grads.items():
+        assert_same_bits(grads_again[key], want)
+
+
 def test_steps_under_frequent_thread_switches(monkeypatch):
     # The caller and the helper switching as often as the interpreter
     # allows: a job run twice, skipped, or read before it has run would
