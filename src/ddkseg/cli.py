@@ -263,7 +263,11 @@ def _eval_pairs(pred_path: Path, target_path: Path) -> list[tuple[str, Path, Pat
             if not p.is_file():
                 raise DataError(f"not found: {p}")
         return [(pred_path.stem, pred_path, target_path)]
-    names = sorted({p.name for p in pred_path.glob("*.csv")} & {p.name for p in target_path.glob("*.csv")})
+    preds, targets = ({p.name for p in path.glob("*.csv")} for path in (pred_path, target_path))
+    for name in sorted(preds ^ targets):
+        print(f"ddkseg: not scored, only under {pred_path if name in preds else target_path}: {name}",
+              file=sys.stderr)
+    names = sorted(preds & targets)
     if not names:
         raise DataError(f"no matching CSV names under {pred_path} and {target_path}")
     return [(Path(n).stem, pred_path / n, target_path / n) for n in names]

@@ -286,46 +286,47 @@ class Segmenter:
         return z[:, :, lo - offset:hi - offset]
 
     def backward(self, dlogits: np.ndarray) -> None:
-        dz = self.head.backward(dlogits)  # raises ValueError unless a train forward ran
-        extra, self._extra_frames = self._extra_frames, None
-        dz = np.ascontiguousarray(dz.transpose(0, 2, 1))
-        if extra:
-            dz = np.pad(dz, ((0, 0), (0, 0), (0, extra)))
-        self.conv.backward(dz)
+        """Every layer's gradients, from the last train forward's caches.
 
-    def loss_and_grads(self, x: np.ndarray, targets: np.ndarray,
-                       class_weights: np.ndarray | None = None,
-                       rng: np.random.Generator | None = None) -> tuple[float, dict[str, np.ndarray]]:
-        """One training step's loss and gradients (train mode).
-
-        With two or more usable CPUs, and BLAS on one thread, the step gets
-        one helper thread (_Helpers(2, bound=1)), which runs the jobs that
-        the layers hand it (see ddkseg.nn.layers): each Conv1d's, Linear's
-        and BiLSTM's weight gradients, handed over once the layer has its dx
-        (a BiLSTM's recurrent weights' just before, beside its dx GEMMs), so
-        they overlap the backward of the layers below; and in the forward,
-        each BiLSTM's input projection of its next block, both directions,
-        beside the time loop of the block before (see ddkseg.nn.lstm). Its
-        GEMMs release the GIL, so they overlap this thread's BiLSTM time
-        loops. Every GEMM keeps its operands, so the loss and gradients are
-        bit-identical to a step with no helper, which runs the jobs inline.
-        At most one job waits behind the running one, so the step's peak
-        memory does not depend on the helper's speed. The helper is joined
-        before this returns, and the first exception a job raised is raised
-        here. A step that fails part way leaves no layer cache.
+        The call opens one helper thread (_Helpers(2, bound=1): one on two or
+        more CPUs while BLAS runs on one thread), which runs each Conv1d's,
+        Linear's and BiLSTM's weight-gradient jobs beside the backward of the
+        layers below (see ddkseg.nn.layers). Every GEMM keeps its operands, so
+        the gradients are bit-identical to inline jobs, and at most one job
+        waits behind the running one. The helper is joined before this
+        returns, so every gradient is complete then; the first exception a
+        job raised is raised here.
         """
         layers = self.conv.layers + self.head.layers
         try:
             with _Helpers(2, bound=1) as helpers:
                 for layer in layers:
                     layer._jobs = helpers
-                logits = self.forward(x, train=True, rng=rng)
-                loss, dlogits = nn.softmax_cross_entropy(logits, targets, class_weights)
-                self.backward(dlogits)
+                dz = self.head.backward(dlogits)  # raises ValueError unless a train forward ran
+                extra, self._extra_frames = self._extra_frames, None
+                dz = np.ascontiguousarray(dz.transpose(0, 2, 1))
+                if extra:
+                    dz = np.pad(dz, ((0, 0), (0, 0), (0, extra)))
+                self.conv.backward(dz)
         finally:
             for layer in layers:
                 layer._jobs = None
-                layer._cache = None  # left only by a step that failed part way
+
+    def loss_and_grads(self, x: np.ndarray, targets: np.ndarray,
+                       class_weights: np.ndarray | None = None,
+                       rng: np.random.Generator | None = None) -> tuple[float, dict[str, np.ndarray]]:
+        """One training step's loss and gradients (train mode). The
+        BiLSTM forwards and backward each join the helper they start, so at
+        most one helper is alive at a time. A step that fails part way
+        leaves the model and its layers holding nothing."""
+        try:
+            logits = self.forward(x, train=True, rng=rng)
+            loss, dlogits = nn.softmax_cross_entropy(logits, targets, class_weights)
+            self.backward(dlogits)
+        finally:
+            self._extra_frames = None  # left, like the layer caches, only by a step that failed part way
+            for layer in self.conv.layers + self.head.layers:
+                layer._cache = None
         return loss, self.named_grads()
 
     def snapshot(self) -> dict[str, np.ndarray]:

@@ -19,7 +19,7 @@ change before backward().
 backward() takes the cache and drops it, so each cache lives from its
 train forward until its own backward and no longer: a layer runs backward
 once per train forward (a second backward, or one after an eval forward,
-raises ValueError; dropout's passes dout on). forward(x) with
+raises ValueError). forward(x) with
 train=False is the inference path: the layer keeps nothing for backward
 (and drops any cache an earlier forward left). In both modes a forward
 may write its output into x's memory, so the caller must not need x
@@ -40,13 +40,13 @@ batchnorm applies one per-channel scale and shift.
 
 Weight gradients: Conv1d, Linear and the BiLSTM put their parameter
 gradients in self.grads as soon as backward has its dx, but fill them
-through Layer._later, which submits the job to the helper threads of the
-Segmenter.loss_and_grads step running (threads._Helpers, one helper on two
-or more CPUs while BLAS runs on one thread; otherwise the job runs
-inline). So the arrays are complete only when the step returns; a
-backward called outside a step fills them before it returns. A job writes
-only into arrays the calling thread allocated for it, and reads arrays
-that nothing writes until the step ends.
+through Layer._later, which submits the job to the helper of the
+Segmenter.backward running (threads._Helpers, one helper on two or more
+CPUs while BLAS runs on one thread; otherwise, and outside a
+Segmenter.backward, the job runs inline). Segmenter.backward joins its
+helper before it returns, so every gradient is complete then. A job
+writes only into arrays the calling thread allocated for it, and reads
+arrays that nothing writes until Segmenter.backward returns.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class Layer:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self._cache = None  # what backward() needs, from the last train forward
-        self._jobs = None  # the helpers of the Segmenter.loss_and_grads step running, during one
+        self._jobs = None  # the helper of the Segmenter.backward running, during one
 
     def forward(self, x: np.ndarray, train: bool = False, rng: np.random.Generator | None = None) -> np.ndarray:
         raise NotImplementedError
@@ -88,17 +88,12 @@ class Layer:
         return cache
 
     def _later(self, job) -> None:
-        """Hand job() to the running step's helpers, or run it now when no
-        step is running."""
+        """Hand job() to the running Segmenter.backward's helper, or run it
+        now when none is running."""
         if self._jobs is None:
             job()
         else:
             self._jobs.submit(job)
-
-    def _wait(self) -> None:
-        """Return once every job handed to _later has run."""
-        if self._jobs is not None:
-            self._jobs.wait()
 
     def extra_state(self) -> dict[str, np.ndarray]:
         """Non-trainable arrays that still belong in checkpoints."""
@@ -291,7 +286,9 @@ class Dropout(Layer):
 
     Training keeps a bool keep-mask and applies it as (x * keep) * scale,
     with scale = dtype(1) / (1 - p): the same bits, signed zeros included,
-    as multiplying by the float mask keep / (1 - p).
+    as multiplying by the float mask keep / (1 - p). At p == 0 it draws
+    nothing and keeps the scalar mask True, so backward passes dout on
+    but, like every layer's, runs once per train forward.
     """
 
     def __init__(self, p: float):
@@ -301,8 +298,8 @@ class Dropout(Layer):
         self.p = p
 
     def forward(self, x, train=False, rng=None):
+        self._cache = np.True_ if train and self.p == 0.0 else None
         if not train or self.p == 0.0:
-            self._cache = None
             return x
         if rng is None:
             raise ValueError("dropout in train mode needs an rng")
@@ -311,9 +308,8 @@ class Dropout(Layer):
         return self._apply(x, keep)
 
     def backward(self, dout):
-        if self._cache is None:  # eval forward, or p == 0
-            return dout
-        return self._apply(dout, self._take_cache())
+        keep = self._take_cache()
+        return dout if self.p == 0.0 else self._apply(dout, keep)
 
     def _apply(self, x, keep):
         np.multiply(x, keep, out=x)

@@ -29,12 +29,11 @@ bit-identical however the jobs run. The caller allocates all a job
 writes: its one-direction GEMM output buffer, and the block's place in
 training's gate cache or in eval's two-block ring (2 x PROJ_BLOCK steps).
 
-In training the job goes to the Segmenter.loss_and_grads step's helper
-(Layer._later; inline outside a step). An eval forward that has a second
-block opens a threads._Helpers of its own for the call, which keeps no
-state on the layer: a 4-window stack forward of the default model took
-134 ms with its helper against 208 without (2 CPUs). Where _Helpers
-starts no helper, the jobs run inline.
+A forward that has a second block, in training as in eval, opens a
+threads._Helpers of its own for the call and joins it before it returns,
+so the layer keeps no helper between calls: an eval 4-window stack
+forward of the default model took 134 ms with its helper against 208
+without (2 CPUs). Where _Helpers starts no helper, the jobs run inline.
 
 In training the blocks are projected straight into the gate cache, and
 backward() gets the input x (by reference), every step's gate outputs
@@ -55,9 +54,9 @@ thread). Each element still sees the same operations in the same order,
 so the gradients keep their bits. The block buffers take about 1.8 MB at
 batch 4 and H 128. Each step writes its gate gradients over its spent
 gate outputs rather than into a second (time, batch, 2, 4H) array.
-Inside a step with a helper thread, the helper computes the recurrent
-weights' and biases' gradients beside the input gradient, then the input
-weights' (see ddkseg.nn.layers).
+Under Segmenter.backward, whose helper thread computes the weight
+gradients, the recurrent weights' and biases' run beside the input
+gradient, then the input weights' (see ddkseg.nn.layers).
 """
 
 from __future__ import annotations
@@ -95,17 +94,14 @@ class BiLSTM(Layer):
         if x.ndim != 3 or x.shape[2] != self.input_size:
             raise ValueError(f"bilstm expects (batch, time, {self.input_size}), got {x.shape}")
         self._cache = None
-        if train:
-            out, self._cache = self._run(x, True, self._later, self._wait)
-            return out
         # A helper of the call's own, where there is a next block to project.
         with threads._Helpers(2 if x.shape[1] > PROJ_BLOCK else 1, bound=1) as helpers:
-            return self._run(x, False, helpers.submit, helpers.wait)[0]
+            out, self._cache = self._run(x, train, helpers)
+        return out
 
-    def _run(self, x, train, later, wait):
-        """The forward pass: (output, backward cache or None). later(job)
-        hands over the next block's projection, and wait() returns once it
-        has run."""
+    def _run(self, x, train, helpers):
+        """The forward pass: (output, backward cache or None). Each next
+        block's projection is a job for helpers."""
         batch, t_len, _ = x.shape
         hid = self.hidden_size
         p = self.params
@@ -156,7 +152,7 @@ class BiLSTM(Layer):
             steps = steps_of(s0)
             k = len(steps)
             if s0 + k < t_len:
-                later(functools.partial(project, s0 + k))
+                helpers.submit(functools.partial(project, s0 + k))
             for j in range(k):
                 np.matmul(hidden[j], w_hh_t, out=zb)
                 np.add(zb_gates, steps[j], out=z)
@@ -175,7 +171,7 @@ class BiLSTM(Layer):
             out[:, t_len - s0 - k:t_len - s0, hid:] = hidden[k:0:-1, 1].transpose(1, 0, 2)
             if s0 + k < t_len:
                 hidden[0] = hidden[k]
-                wait()
+                helpers.wait()
         return out, ((x, proj, cells) if train else None)
 
     def backward(self, dout):

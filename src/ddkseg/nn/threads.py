@@ -1,9 +1,11 @@
 """Helper threads for the kernels' jobs, and the BLAS thread count they depend on.
 
 _Helpers is the one way work reaches another CPU: predict_file shares a
-CNN file's windows with it, a Segmenter.loss_and_grads step hands it its
-layers' jobs (see ddkseg.nn.layers), and an eval BiLSTM.forward its
-next block's input projection (see ddkseg.nn.lstm). It alone decides
+CNN file's windows with it, Segmenter.backward hands it its layers'
+weight-gradient jobs (see ddkseg.nn.layers), and BiLSTM.forward, in
+training as in eval, its next block's input projection (see
+ddkseg.nn.lstm). Each opens its own and joins it before it returns, so
+a helper lives only as long as its caller's jobs. It alone decides
 whether a helper starts, so no caller asks BLAS anything. Only cli.main,
 which owns the process, sets BLAS to one thread around each command, so
 that helpers start there in the default environment too.

@@ -493,3 +493,29 @@ def test_train_on_arbitrary_config_bytes_exits_1_or_2(tmp_path_factory, blob):
     code = cli.main(["train", "--manifest", str(work / "missing.csv"), "--out-dir", str(work / "fuzz_train"),
                      "--config", str(config)])
     assert code in (cli.EXIT_USAGE, cli.EXIT_DATA)
+
+
+def test_eval_on_directories_names_the_csvs_it_does_not_score(tmp_path, capsys):
+    # A prediction or a truth without its counterpart drops out of the
+    # scores; eval says which on stderr, and its report is that of the
+    # shared names alone, byte for byte.
+    rows = "onset_ms,offset_ms,label\n10,20,vot\n20,80,vowel\n"
+    for run, names in (("shared", {"pred": ["a"], "truth": ["a"]}),
+                       ("extra", {"pred": ["a", "p_only"], "truth": ["a", "t_only", "u_only"]})):
+        for side, stems in names.items():
+            (tmp_path / run / side).mkdir(parents=True)
+            for stem in stems:
+                (tmp_path / run / side / f"{stem}.csv").write_text(rows)
+    outputs = {}
+    for run in ("shared", "extra"):
+        work = tmp_path / run
+        code = cli.main(["eval", "--pred", str(work / "pred"), "--target", str(work / "truth"),
+                         "--out", str(work / "eval.csv"), "--rates-out", str(work / "rates.csv")])
+        out, err = capsys.readouterr()
+        outputs[run] = (code, out, (work / "eval.csv").read_bytes(), (work / "rates.csv").read_bytes(), err)
+    assert outputs["extra"][:4] == outputs["shared"][:4]
+    assert outputs["shared"][4] == ""
+    pred, truth = tmp_path / "extra" / "pred", tmp_path / "extra" / "truth"
+    assert outputs["extra"][4].splitlines() == [f"ddkseg: not scored, only under {pred}: p_only.csv",
+                                                f"ddkseg: not scored, only under {truth}: t_only.csv",
+                                                f"ddkseg: not scored, only under {truth}: u_only.csv"]

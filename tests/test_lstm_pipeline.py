@@ -1,10 +1,10 @@
 """The BiLSTM projects block b + 1 of its input on a helper while the
-calling thread runs block b's time loop: in training on the step's helper
-(Layer._later), in eval on a helper of the call's own, which starts only
-while BLAS runs on one thread. The outputs, input gradients and weight
-gradients are bit-identical to a sequential per-block reference whatever
-the CPU count and BLAS thread count; a failing job reaches the caller and
-leaves no thread and no layer cache."""
+calling thread runs block b's time loop, in training as in eval: each
+forward opens a helper of its own, which starts only while BLAS runs on
+one thread, and joins it before it returns. The outputs, input gradients
+and weight gradients are bit-identical to a sequential per-block
+reference whatever the CPU count and BLAS thread count; a failing job
+reaches the caller and leaves no thread and no layer cache."""
 
 import threading
 
@@ -54,43 +54,40 @@ def _case(t_len, batch=2, seed=0):
     return lstm, x, dout
 
 
-@pytest.mark.parametrize("reported", [1, 2, "missing"])
-@pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("t_len", T_LENS)
-def test_eval_forward_matches_sequential_reference(monkeypatch, t_len, cpus, reported):
+def _check_against_reference(monkeypatch, t_len, cpus, reported, train):
     set_cpus(monkeypatch, cpus)
     _blas(monkeypatch, reported)
     started = _counted_threads(monkeypatch)
     lstm, x, dout = _case(t_len)
-    want_out, _, _ = bilstm_reference(lstm, x, dout)
+    want_out, want_dx, want_grads = bilstm_reference(lstm, x, dout)
     before = x.copy()
-    out = lstm.forward(x)
+    out = lstm.forward(x, train=train)
     assert_same_bits(out, want_out)
     assert_same_bits(x, before)
     # A helper only where it has a block to project, BLAS runs on one
-    # thread and a second CPU is usable.
+    # thread and a second CPU is usable; joined before forward returns.
     assert len(started) == int(reported == 1 and cpus > 1 and t_len > PROJ_BLOCK)
-    assert lstm._cache is None and lstm._jobs is None
+    assert not any(thread.is_alive() for thread in started)
+    assert lstm._jobs is None
+    if not train:
+        assert lstm._cache is None
+        return
+    assert_same_bits(lstm.backward(dout), want_dx)
+    for name, want in want_grads.items():
+        assert_same_bits(lstm.grads[name], want)
+
+
+@pytest.mark.parametrize("reported", [1, 2, "missing"])
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("t_len", T_LENS)
+def test_eval_forward_matches_sequential_reference(monkeypatch, t_len, cpus, reported):
+    _check_against_reference(monkeypatch, t_len, cpus, reported, train=False)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("t_len", T_LENS)
 def test_train_forward_and_backward_match_sequential_reference(monkeypatch, t_len, cpus):
-    # Inside a step the projections go to the step's helper.
-    set_cpus(monkeypatch, cpus)
-    lstm, x, dout = _case(t_len)
-    want_out, want_dx, want_grads = bilstm_reference(lstm, x, dout)
-    with threads._Helpers(2, bound=1) as helpers:
-        lstm._jobs = helpers
-        try:
-            out = lstm.forward(x, train=True)
-            dx = lstm.backward(dout)
-        finally:
-            lstm._jobs = None
-    assert_same_bits(out, want_out)
-    assert_same_bits(dx, want_dx)
-    for name, want in want_grads.items():
-        assert_same_bits(lstm.grads[name], want)
+    _check_against_reference(monkeypatch, t_len, cpus, 1, train=True)
 
 
 def test_helper_projects_every_block_after_the_first(monkeypatch):
@@ -128,15 +125,7 @@ def test_failing_job_reaches_the_caller(monkeypatch, cpus, train):
     monkeypatch.setattr(lstm_module, "_project", _project)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="projection failed"):
-        if train:
-            with threads._Helpers(2, bound=1) as helpers:
-                lstm._jobs = helpers
-                try:
-                    lstm.forward(x, train=True)
-                finally:
-                    lstm._jobs = None
-        else:
-            lstm.forward(x)
+        lstm.forward(x, train=train)
     assert threading.active_count() == before
     assert (calls[-1] is threading.main_thread()) == (cpus == 1)
     assert lstm._cache is None

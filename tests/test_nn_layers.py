@@ -281,13 +281,19 @@ def test_cache_free_eval_matches_cached_eval(rng, make, shape, reference):
     assert not _held(layer), f"{type(layer).__name__} kept {sorted(_held(layer))} in eval mode"
 
 
-@pytest.mark.parametrize("make, shape", [
+_EVERY_LAYER = pytest.mark.parametrize("make, shape", [
     (lambda rng: nn.Conv1d(2, 3, 5, stride=2, padding=2, rng=rng, dtype=np.float64), (2, 2, 11)),
     (_batchnorm_with_stats, (2, 3, 9)),
     (lambda rng: nn.LeakyReLU(), (2, 3, 9)),
+    (lambda rng: nn.Dropout(0.3), (2, 3, 9)),
+    (lambda rng: nn.Dropout(0.0), (2, 3, 9)),
     (lambda rng: nn.Linear(4, 3, rng=rng, dtype=np.float64), (2, 5, 4)),
     (lambda rng: nn.BiLSTM(4, 3, rng=rng, dtype=np.float64), (2, 5, 4)),
-], ids=["conv", "batchnorm", "leaky_relu", "linear", "bilstm"])
+], ids=["conv", "batchnorm", "leaky_relu", "dropout", "dropout_p0", "linear", "bilstm"])
+_NO_CACHE = r"backward needs a forward\(\.\.\., train=True\) first"
+
+
+@_EVERY_LAYER
 def test_backward_after_eval_forward_raises(rng, make, shape):
     """The eval forward drops the training forward's cache, so backward has
     nothing to differentiate: it raises instead of returning a gradient."""
@@ -296,5 +302,16 @@ def test_backward_after_eval_forward_raises(rng, make, shape):
     out = layer.forward(x.copy(), train=True, rng=np.random.default_rng(0))
     layer.backward(np.ones_like(out))
     layer.forward(x.copy())
-    with pytest.raises(ValueError, match=r"backward needs a forward\(\.\.\., train=True\) first"):
+    with pytest.raises(ValueError, match=_NO_CACHE):
+        layer.backward(np.ones_like(out))
+
+
+@_EVERY_LAYER
+def test_second_backward_raises(rng, make, shape):
+    """backward takes the cache, so a second one after one train forward
+    raises too: dropout's included, at p == 0 as well."""
+    layer = make(rng)
+    out = layer.forward(rng.standard_normal(shape), train=True, rng=np.random.default_rng(0))
+    layer.backward(np.ones_like(out))
+    with pytest.raises(ValueError, match=_NO_CACHE):
         layer.backward(np.ones_like(out))

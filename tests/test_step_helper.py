@@ -1,14 +1,16 @@
-"""Segmenter.loss_and_grads hands its layers' weight gradients, and each
-BiLSTM's input projection of the block after the one running, to one helper
-thread when two or more CPUs are usable and BLAS runs on one thread: the
-loss, gradients and training runs do not depend on the CPU count, a job's
-error reaches the caller with no thread and no layer cache left, one
-step's gradients survive the next step, and exactly one helper starts per
-step, or none beside a threaded BLAS."""
+"""Segmenter.backward hands its layers' weight gradients to one helper
+thread of its own, and each BiLSTM forward its input projection of the
+block after the one running to another, when two or more CPUs are usable
+and BLAS runs on one thread: the loss, gradients and training runs do not
+depend on the CPU count, a job's error reaches the caller with no thread
+and no layer cache left, one step's gradients survive the next step, the
+gradients are complete when Segmenter.backward returns, and each step
+starts exactly one backward helper, or none beside a threaded BLAS."""
 
 import dataclasses
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from conftest import SMALL_LSTM, TINY_CNN, TINY_LSTM, assert_same_bits, held, se
 
 from ddkseg.models import ModelConfig, Segmenter
 from ddkseg.nn import Layer
-from ddkseg.nn.lstm import PROJ_BLOCK
+from ddkseg.nn import lstm as lstm_module
+from ddkseg.nn import softmax_cross_entropy
 from ddkseg.synth import Trial, TrialSpec, generate_trial
 from ddkseg.train import TrainConfig, train_model, write_train_log
 
@@ -94,39 +97,54 @@ def test_training_does_not_depend_on_cpu_count(monkeypatch, tmp_path):
     assert (tmp_path / "log1.csv").read_bytes() == (tmp_path / "log2.csv").read_bytes()
 
 
-# TINY_LSTM's jobs, in order: the two BiLSTMs' projections in the forward,
-# one per PROJ_BLOCK block after the first (15 each at T = 1000), then in the
-# backward the weight gradients of Linear, Linear, each BiLSTM's recurrent
-# then input weights, and the two convs.
-FORWARD_JOBS = 2 * (-(-1000 // PROJ_BLOCK) - 1)
+# TINY_LSTM's jobs handed to Layer._later, in order: none in the forward,
+# whose BiLSTMs project on helpers of their own, then in the backward the
+# weight gradients of Linear, Linear, each BiLSTM's recurrent then input
+# weights (the second BiLSTM's first), and the two convs.
+FORWARD_JOBS = 0
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("failing", [0, FORWARD_JOBS + 2], ids=["forward_job", "backward_job"])
+@pytest.mark.parametrize("failing", ["forward_job", "backward_job"])
 def test_error_in_a_job_reaches_the_caller(monkeypatch, cpus, failing):
     set_cpus(monkeypatch, cpus)
     model = Segmenter(TINY_LSTM, seed=1)
     x, y = step_inputs(2)
-    handed = []
     ran_on = []
-    original = Layer._later
 
-    def _later(self, job):
-        if len(handed) == failing:
-            def job():
-                ran_on.append(threading.current_thread())
-                raise RuntimeError("job failed")
-        handed.append(job)
-        original(self, job)
+    def failed_job(*args):
+        ran_on.append(threading.current_thread())
+        raise RuntimeError("job failed")
 
-    monkeypatch.setattr(Layer, "_later", _later)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="job failed"):
-        model.loss_and_grads(x, y, rng=np.random.default_rng(0))
-    assert threading.active_count() == before
+    with monkeypatch.context() as patch:
+        if failing == "forward_job":
+            # The first BiLSTM's projection of its block 1, forward
+            # direction: the third _project call, the first a helper runs.
+            original, calls = lstm_module._project, []
+
+            def _project(*args):
+                calls.append(args)
+                (failed_job if len(calls) == 3 else original)(*args)
+
+            patch.setattr(lstm_module, "_project", _project)
+        else:
+            # The second BiLSTM's recurrent weights' gradients.
+            original, handed = Layer._later, []
+
+            def _later(self, job):
+                if len(handed) == FORWARD_JOBS + 2:
+                    job = failed_job
+                handed.append(job)
+                original(self, job)
+
+            patch.setattr(Layer, "_later", _later)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="job failed"):
+            model.loss_and_grads(x, y, rng=np.random.default_rng(0))
+        assert threading.active_count() == before
     assert (ran_on[0] is threading.main_thread()) == (cpus == 1)
     assert not held(model), f"left after the failed step: {held(model)}"
-    monkeypatch.setattr(Layer, "_later", original)
+    assert model._extra_frames is None
     loss, _ = model.loss_and_grads(x, y, rng=np.random.default_rng(0))
     assert np.isfinite(loss)
 
@@ -150,7 +168,11 @@ def test_next_step_leaves_returned_grads_alone(monkeypatch, cpus):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_one_helper_per_step_and_none_on_one_cpu(monkeypatch, cpus):
+    # Each step's Segmenter.backward starts one helper for the weight
+    # gradients, after the forward, where each BiLSTM (two in TINY_LSTM,
+    # each with a second block at T = 1000) starts one for its projections.
     started = []
+    handed = []
     job_threads = set()
 
     class CountedThread(threading.Thread):
@@ -164,12 +186,14 @@ def test_one_helper_per_step_and_none_on_one_cpu(monkeypatch, cpus):
         def recorded():
             job_threads.add(threading.current_thread())
             job()
+        handed.append(job)
         original(self, recorded)
 
     monkeypatch.setattr(threading, "Thread", CountedThread)
     monkeypatch.setattr(Layer, "_later", _later)
     model = Segmenter(TINY_LSTM, seed=1)
     x, y = step_inputs(2)
+    lstms = TINY_LSTM.lstm_layers
     # A helper starts only beside a single-threaded BLAS: `reported` is
     # what the BLAS query returns, None where the library has no query.
     for reported in (1, 2, None):
@@ -179,12 +203,45 @@ def test_one_helper_per_step_and_none_on_one_cpu(monkeypatch, cpus):
         job_threads.clear()
         for _ in range(2):
             model.loss_and_grads(x, y, rng=np.random.default_rng(0))
-        assert len(started) == (2 if helper else 0), reported
-        assert job_threads == (set(started) if helper else {threading.main_thread()}), reported
-        # An eval forward hands no job to the step's helpers. Each BiLSTM
-        # starts a helper of its own, by the same rule.
-        job_threads.clear()
-        started.clear()
-        model.forward(x)
-        assert len(started) == (2 if helper else 0), reported
-        assert not job_threads
+        assert len(started) == (2 * (lstms + 1) if helper else 0), reported
+        backward_helpers = {started[lstms], started[2 * lstms + 1]} if helper else {threading.main_thread()}
+        assert job_threads == backward_helpers, reported
+        # A train forward hands Layer._later nothing: each BiLSTM projects
+        # on a helper of its own, by the same rule, as in eval.
+        for train in (True, False):
+            handed.clear()
+            started.clear()
+            model.forward(x, train=train, rng=np.random.default_rng(0))
+            assert len(handed) == FORWARD_JOBS, (reported, train)
+            assert len(started) == (lstms if helper else 0), (reported, train)
+        assert not held(model)  # the eval forward dropped the train forward's caches
+
+
+def test_gradients_are_complete_when_backward_returns(monkeypatch):
+    # Outside a step too: Segmenter.backward joins its helper before it
+    # returns, even when every job on it lags, so the gradients it leaves
+    # are those of loss_and_grads, bit for bit, with no thread left.
+    set_cpus(monkeypatch, 2)
+    model = Segmenter(TINY_LSTM, seed=1)
+    x, y = step_inputs(2, seed=4)
+    loss, want = model.loss_and_grads(x, y, rng=np.random.default_rng(5))
+    want = {k: v.copy() for k, v in want.items()}
+    original = Layer._later
+
+    def _later(self, job):
+        def late():
+            time.sleep(0.01)
+            job()
+        original(self, late)
+
+    monkeypatch.setattr(Layer, "_later", _later)
+    before = threading.active_count()
+    logits = model.forward(x, train=True, rng=np.random.default_rng(5))
+    loss_again, dlogits = softmax_cross_entropy(logits, y)
+    model.backward(dlogits)
+    assert threading.active_count() == before
+    grads = model.named_grads()
+    assert loss_again == loss and grads.keys() == want.keys()
+    for key, value in want.items():
+        assert_same_bits(grads[key], value)
+    assert not held(model) and model._extra_frames is None

@@ -1,15 +1,15 @@
 """Memory contract of a training step: each layer keeps its backward cache
 from its train forward until its own backward, and no longer."""
 
-import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import SMALL_LSTM, TINY_CNN, TINY_LSTM, held, set_cpus, step_inputs
+from conftest import SMALL_LSTM, TINY_CNN, TINY_LSTM, assert_same_bits, held, set_cpus, step_inputs
 
 from ddkseg.models import ModelConfig, Segmenter
-from ddkseg.nn import Layer
+from ddkseg.nn import Layer, Sequential
 from ddkseg.postproc import N_CLASSES
 
 
@@ -28,8 +28,8 @@ def test_loss_and_grads_leaves_no_cache(cfg):
 def test_small_lstm_step_traced_peak(monkeypatch):
     # One batch-4 step traces 13.6 MB at peak (numpy 2.4); caching the conv
     # columns, float dropout masks and tanh(cell) instead, and keeping
-    # every cache until the next step, traced 22.5 MB. With 2 CPUs the
-    # step's helper thread runs the weight-gradient jobs, whose arrays
+    # every cache until the next step, traced 22.5 MB. With 2 CPUs
+    # Segmenter.backward's helper thread runs the weight-gradient jobs, whose arrays
     # live until it has run them; tracemalloc traces both threads. A
     # helper that falls behind must not let them pile up: with every
     # backward job waiting, they traced 16.7 MB.
@@ -71,19 +71,14 @@ def test_default_lstm_step_traced_peak(monkeypatch, cpus):
 
 
 def _stall_helper_in_backward(monkeypatch):
-    """Hold each step's first backward job on the helper until the caller's
-    backward has returned, or for 0.5 s if the caller waits for the helper."""
-    backward_done = threading.Event()
+    """Hold each Segmenter.backward's first job on the helper for 0.5 s,
+    while the caller goes on handing it jobs until it joins the helper."""
     first = []
     original_backward, original_later = Segmenter.backward, Layer._later
 
     def backward(self, dlogits):
-        backward_done.clear()
         first.append(True)
-        try:
-            original_backward(self, dlogits)
-        finally:
-            backward_done.set()
+        original_backward(self, dlogits)
 
     def _later(self, job):
         if first:
@@ -91,9 +86,29 @@ def _stall_helper_in_backward(monkeypatch):
             run = job
 
             def job():
-                backward_done.wait(timeout=0.5)
+                time.sleep(0.5)
                 run()
         original_later(self, job)
 
     monkeypatch.setattr(Segmenter, "backward", backward)
     monkeypatch.setattr(Layer, "_later", _later)
+
+
+def test_failed_step_leaves_the_model_as_a_fresh_one():
+    # Targets out of range make the loss raise after the train forward has
+    # filled every cache and the model's count of extra frames.
+    model, fresh = Segmenter(TINY_LSTM, seed=1), Segmenter(TINY_LSTM, seed=1)
+    x, y = step_inputs(2)
+    with pytest.raises(ValueError, match="targets must lie in"):
+        model.loss_and_grads(x, y + N_CLASSES, rng=np.random.default_rng(0))
+    assert not held(model), f"left after the failed step: {held(model)}"
+    state, want = vars(model), vars(fresh)
+    assert state.keys() == want.keys()
+    for key, value in want.items():
+        if not isinstance(value, Sequential):  # layers: held() above
+            assert state[key] == value, key
+    loss, grads = model.loss_and_grads(x, y, rng=np.random.default_rng(0))
+    want_loss, want_grads = fresh.loss_and_grads(x, y, rng=np.random.default_rng(0))
+    assert loss == want_loss and grads.keys() == want_grads.keys()
+    for key, value in want_grads.items():
+        assert_same_bits(grads[key], value)
