@@ -55,14 +55,18 @@ def bandstop_fir(num_taps: int, low_hz: float, high_hz: float, sample_rate_hz: f
 def apply_fir(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Filter x with an odd-length linear-phase FIR, compensating group delay.
 
-    Output has the same length as x (edges see implicit zero padding).
+    Returns len(x) samples, whatever the filter's length: the slice of the
+    full convolution that starts at the group delay (len(h) - 1) // 2, so
+    y[n] lines up with x[n] and the edges see implicit zero padding. When
+    len(x) >= len(h) that equals np.convolve(x, h, "same") bit for bit.
     """
     if len(h) % 2 == 0:
         raise ValueError("apply_fir expects an odd-length filter")
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         return x.copy()
-    return np.convolve(x, h, mode="same")
+    delay = (len(h) - 1) // 2
+    return np.convolve(x, h)[delay:delay + len(x)]
 
 
 def resample_kaiser(x: np.ndarray, source_hz: int, target_hz: int) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 from . import nn
 from .audio import MODEL_RATE_HZ, SAMPLES_PER_MS, Waveform, cut_windows, frame_owners, resample
 from .errors import ConfigError, DataError, InternalError
-from .nn.layers import LEAKY_SLOPE
+from .nn.layers import LEAKY_SLOPE, conv_output_length
 from .nn.threads import _Helpers
 from .postproc import LABEL_NAMES, N_CLASSES
 
@@ -189,7 +189,6 @@ class Segmenter:
             nn.Linear(cfg.fc_hidden, N_CLASSES, rng=rng, dtype=dtype),
         ]
         self.head = nn.Sequential(head_layers)
-        self._extra_frames = None  # from a train forward until its backward
 
     def named_params(self) -> dict[str, np.ndarray]:
         out = {f"conv.{k}": v for k, v in self.conv.named_params().items()}
@@ -216,11 +215,10 @@ class Segmenter:
                 keep: tuple[int, int] | None = None) -> np.ndarray:
         """(batch, 1, samples) -> logits (batch, samples // 16, N_CLASSES).
 
-        train=True keeps what backward() needs: each layer its cache, and the
-        model how many frames its conv stack computed past the logits.
-        train=False is the inference path: neither the model nor a layer
-        keeps anything (see ddkseg.nn.layers), so threads can share a model,
-        and x is left unchanged.
+        train=True keeps what backward() needs, each layer its cache; the
+        model itself keeps nothing. train=False is the inference path: no
+        layer keeps anything (see ddkseg.nn.layers), so threads can share a
+        model, and x is left unchanged.
 
         keep=(lo, hi) asks for the logits of frames [lo, hi) only, on the
         inference path of a CNN model: the stride-1 top of its conv stack,
@@ -239,10 +237,7 @@ class Segmenter:
                 raise ValueError("keep needs a model without LSTM layers: a recurrence reads every frame")
             z = self._cropped_conv(x, *keep)
         else:
-            z = self.conv.forward(x, train=train, rng=rng)
-            if train:
-                self._extra_frames = z.shape[2] - frames
-            z = z[:, :, :frames]
+            z = self.conv.forward(x, train=train, rng=rng)[:, :, :frames]
         z = np.ascontiguousarray(z.transpose(0, 2, 1))
         return self.head.forward(z, train=train, rng=rng)
 
@@ -303,7 +298,9 @@ class Segmenter:
                 for layer in layers:
                     layer._jobs = helpers
                 dz = self.head.backward(dlogits)  # raises ValueError unless a train forward ran
-                extra, self._extra_frames = self._extra_frames, None
+                top = self.conv.layers[-4]  # the last block's Conv1d, its padded input still cached
+                computed = conv_output_length(top._cache[0].shape[2], top.kernel, top.stride, 0, top.dilation)
+                extra = computed - dz.shape[1]  # frames the conv stack computed past the logits
                 dz = np.ascontiguousarray(dz.transpose(0, 2, 1))
                 if extra:
                     dz = np.pad(dz, ((0, 0), (0, 0), (0, extra)))
@@ -324,7 +321,6 @@ class Segmenter:
             loss, dlogits = nn.softmax_cross_entropy(logits, targets, class_weights)
             self.backward(dlogits)
         finally:
-            self._extra_frames = None  # left, like the layer caches, only by a step that failed part way
             for layer in self.conv.layers + self.head.layers:
                 layer._cache = None
         return loss, self.named_grads()

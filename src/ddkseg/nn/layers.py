@@ -167,14 +167,15 @@ class Conv1d(Layer):
 
     def _tap_gemms(self, xp, out_len):
         """Stride-1 output as one GEMM per tap: weight[:, :, tap] times the
-        padded input shifted by tap * dilation, summed, with no columns built."""
-        taps = self.params["weight"].transpose(2, 0, 1).copy()  # (kernel, out, in), each tap contiguous
-        out = np.matmul(taps[0], xp[:, :, :out_len])
+        padded input shifted by tap * dilation, summed, with no columns built
+        and no copy of the weight made here."""
+        w = self.params["weight"]
+        out = np.matmul(w[:, :, 0], xp[:, :, :out_len])
         if self.kernel > 1:
             term = np.empty_like(out)
             for tap in range(1, self.kernel):
                 lo = tap * self.dilation
-                out += np.matmul(taps[tap], xp[:, :, lo:lo + out_len], out=term)
+                out += np.matmul(w[:, :, tap], xp[:, :, lo:lo + out_len], out=term)
         out += self.params["bias"][None, :, None]
         return out
 

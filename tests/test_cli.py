@@ -294,6 +294,31 @@ def test_train_on_validation_trials_shorter_than_a_window_names_the_split(tmp_pa
     assert "no usable validation windows (are all validation trials shorter than one window?)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("other", [None, 100], ids=["other_full", "other_100_samples"])
+def test_train_with_an_empty_training_wav(tmp_path, capsys, seed, other):
+    # The empty trial goes through augmentation unchanged in every mode and
+    # gives no windows; seeds 0 and 3 draw a noise mode for it. With the
+    # other training trial too short for a window, no training window is left.
+    corpus = tmp_path / "corpus"
+    assert cli.main(["synth", "--out-dir", str(corpus), "--trials", "4", "--split", "0.5,0.5,0",
+                     "--min-syllables", "3", "--max-syllables", "3", "--seed", "1"]) == cli.EXIT_OK
+    rows = [line.split(",") for line in (corpus / "manifest.csv").read_text().splitlines()[1:]]
+    train_wavs = [corpus / row[1] for row in rows if row[3] == "train"]
+    write_wav(train_wavs[0], Waveform(np.zeros(0), 16000))
+    if other is not None:
+        write_wav(train_wavs[1], Waveform(np.full(other, 0.1), 16000))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": TINY_LSTM.to_dict()}))
+    code = cli.main(["train", "--manifest", str(corpus / "manifest.csv"), "--out-dir", str(tmp_path / "out"),
+                     "--config", str(config), "--epochs", "1", "--batch-size", "2", "--seed", str(seed)])
+    if other is None:
+        assert code == cli.EXIT_OK
+    else:
+        assert code == cli.EXIT_DATA
+        assert "no usable training windows" in capsys.readouterr().err
+
+
 @pytest.fixture
 def tiny_checkpoint(tmp_path):
     path = tmp_path / "tiny.npz"

@@ -1,14 +1,16 @@
-"""The strided polyphase resampler against its gather-based reference, and
-the band-reject filter's stop and pass bands."""
+"""The strided polyphase resampler against its gather-based reference, the
+FIR filter's output length, and the band-reject filter's stop and pass bands."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from resample_reference import resample_kaiser_reference
 
 from ddkseg.audio import Waveform
 from ddkseg import dsp
 from ddkseg.augment import NOTCH_TAPS, band_reject
-from ddkseg.dsp import resample_kaiser
+from ddkseg.dsp import apply_fir, bandstop_fir, lowpass_fir, resample_kaiser
 
 
 @pytest.mark.parametrize("source, target", [(8000, 16000), (11025, 16000), (22050, 16000),
@@ -32,6 +34,24 @@ def test_resample_blocks_do_not_change_the_output(monkeypatch, source, target, b
     whole = resample_kaiser(x, source, target)
     monkeypatch.setattr(dsp, "RESAMPLE_BLOCK", block)
     np.testing.assert_array_equal(resample_kaiser(x, source, target), whole)
+
+
+FILTERS = {
+    "lowpass": lowpass_fir(NOTCH_TAPS, 500.0, 16000),
+    "bandstop": bandstop_fir(NOTCH_TAPS, 700.0, 1500.0, 16000),
+    "short": lowpass_fir(3, 2000.0, 16000),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(length=st.integers(0, 600), name=st.sampled_from(sorted(FILTERS)), seed=st.integers(0, 2 ** 32 - 1))
+def test_apply_fir_keeps_length_and_matches_same_mode(length, name, seed):
+    h = FILTERS[name]
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, length)
+    y = apply_fir(x, h)
+    assert y.shape == (length,)
+    if length >= len(h):
+        np.testing.assert_array_equal(y, np.convolve(x, h, "same"))
 
 
 def _gain_db(freq_hz, low_hz, high_hz, rate=16000):

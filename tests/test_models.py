@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import TINY_CNN, TINY_LSTM
+from conftest import TINY_CNN, TINY_LSTM, held, step_inputs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -129,6 +129,22 @@ def test_snapshot_restore():
     model.restore(snap)
     for k, v in model.checkpoint_arrays().items():
         np.testing.assert_array_equal(v, snap[k])
+
+
+@pytest.mark.parametrize("cfg", [TINY_LSTM, TINY_CNN], ids=["lstm", "cnn"])
+def test_eval_forward_after_a_train_forward_leaves_the_model_as_built(cfg):
+    # The model keeps backward state only from a train forward until its
+    # backward, in its layers' caches: an eval forward drops them all and
+    # leaves the model itself with the attributes a fresh one has.
+    model, fresh = Segmenter(cfg, seed=1), Segmenter(cfg, seed=1)
+    x, _ = step_inputs(2, seed=3)
+    model.forward(x, train=True, rng=np.random.default_rng(0))
+    model.forward(x)
+    assert not held(model)
+    assert vars(model).keys() == vars(fresh).keys()
+    layers = ("conv", "head")  # compared by held() above
+    assert ({k: v for k, v in vars(model).items() if k not in layers}
+            == {k: v for k, v in vars(fresh).items() if k not in layers})
 
 
 @pytest.mark.parametrize("changes, message", [

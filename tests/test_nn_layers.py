@@ -97,6 +97,21 @@ def test_eval_stride1_conv_builds_no_im2col_buffer(rng):
     assert peak < cols_bytes / 2
 
 
+def test_eval_stride1_conv_copies_no_weight(rng):
+    # Each tap's GEMM reads its view of the weight in place: beyond the
+    # output and the one per-tap term buffer, the call keeps less than
+    # half a weight's bytes (a tap-major copy would be a whole weight).
+    conv = nn.Conv1d(256, 256, 3, rng=rng)
+    x = rng.standard_normal((1, 256, 250)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        out = conv.forward(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - 2 * out.nbytes < conv.params["weight"].nbytes / 2
+
+
 def test_conv_shape_error():
     conv = nn.Conv1d(2, 3, 3, dtype=np.float64)
     with pytest.raises(ValueError, match="conv1d expects 2 input channels, got 5"):

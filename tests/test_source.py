@@ -198,3 +198,32 @@ def test_no_where_selects_in_the_kernels():
                     and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"):
                 found.append(f"nn/{path.relative_to(SRC / 'nn')}:{node.lineno}")
     assert not found, "np.where( under src/ddkseg/nn:\n" + "\n".join(found)
+
+
+def test_every_module_level_name_is_used():
+    # A function or class that only its own definition and the tests name
+    # is dead code: delete it with its tests. A name counts as used where
+    # src/ddkseg or bench/ (outside bench's tests) reads it, imports it
+    # (except a package's re-export), or spells it in a string, as
+    # bench/tracing.py names the functions it wraps.
+    bench = SRC.parents[1] / "bench"
+    paths = sorted(SRC.rglob("*.py")) + sorted(p for p in bench.glob("*.py") if not p.name.startswith("test_"))
+    defined, uses = [], []  # uses: (name, path, line)
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.is_relative_to(SRC):
+            defined += [(node, path) for node in tree.body
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.append((node.id, path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.append((node.attr, path, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+                uses += [(alias.name, path, node.lineno) for alias in node.names]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                uses += [(part, path, node.lineno) for part in node.value.split(".") if part.isidentifier()]
+    unused = [f"{path.relative_to(SRC)}:{node.lineno}: {node.name}" for node, path in defined
+              if not any(name == node.name and not (where == path and node.lineno <= line <= node.end_lineno)
+                         for name, where, line in uses)]
+    assert not unused, "module-level names used nowhere but their definition and tests:\n" + "\n".join(unused)
