@@ -60,9 +60,14 @@ class Waveform:
 
 
 def read_wav(path) -> Waveform:
-    """Read a 16-bit PCM RIFF/WAVE file (mono or stereo; stereo is averaged).
+    """Read a 16-bit PCM RIFF/WAVE file of any channel count as mono.
 
-    The fmt chunk may be plain PCM or WAVE_FORMAT_EXTENSIBLE with the PCM
+    The channels are averaged: their int16 samples are summed in channel
+    order into float64, one channel slice at a time, and the sum is
+    divided by channels * 32768 once. That is bit-identical to
+    frames.mean(axis=1) / 32768, since sums of int16 values are exact in
+    float64 and scaling by a power of two commutes with rounding. The fmt
+    chunk may be plain PCM or WAVE_FORMAT_EXTENSIBLE with the PCM
     sub-format. A data chunk whose size is 0xFFFFFFFF (a streamed file)
     runs to the end of the file; a trailing partial frame is dropped.
     """
@@ -98,16 +103,18 @@ def read_wav(path) -> Waveform:
     if audio_format != 1 or bits != 16:
         raise DataError(
             f"{path}: only 16-bit integer PCM is supported (format={audio_format}, bits={bits})")
-    if channels not in (1, 2):
-        raise DataError(f"{path}: expected 1 or 2 channels, got {channels}")
+    if channels == 0:
+        raise DataError(f"{path}: no channels")
     if sample_rate == 0:
         raise DataError(f"{path}: sample rate is 0 Hz")
     if block_align != 2 * channels:
         raise DataError(f"{path}: block align {block_align} does not match {channels} channel(s) of 16 bits")
 
-    raw = np.frombuffer(payload[:len(payload) - len(payload) % (2 * channels)], dtype="<i2")
-    samples = raw.reshape(-1, 2).mean(axis=1) if channels == 2 else raw.astype(np.float64)
-    samples /= 32768.0
+    frames = np.frombuffer(payload[:len(payload) - len(payload) % block_align], dtype="<i2").reshape(-1, channels)
+    samples = frames[:, 0].astype(np.float64)
+    for channel in range(1, channels):
+        samples += frames[:, channel]
+    samples /= 32768.0 * channels
     return Waveform(samples, int(sample_rate))
 
 

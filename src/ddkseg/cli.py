@@ -151,20 +151,22 @@ def cmd_train(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    """Segment every readable input; an unreadable one is reported on stderr
-    and skipped, and the command exits 2 once all inputs were tried. Two
-    inputs that would write one output name are a usage error."""
+    """Segment every readable input once, however often it is named; an
+    unreadable one is reported on stderr and skipped, and the command exits
+    2 once all inputs were tried. Two distinct inputs that would write one
+    output name are a usage error."""
+    # One entry per file, however it is spelled: a.wav, ./a.wav or its absolute path.
+    inputs = sorted({Path(name).absolute(): Path(name) for name in args.inputs}.values(), key=str)
     by_stem = {}
-    for wav_path in sorted(args.inputs):
-        first = by_stem.setdefault(Path(wav_path).stem, wav_path)
+    for wav_path in inputs:
+        first = by_stem.setdefault(wav_path.stem, wav_path)
         if first != wav_path:
-            raise ConfigError(f"{first} and {wav_path} would both write {Path(wav_path).stem}.csv")
+            raise ConfigError(f"{first} and {wav_path} would both write {wav_path.stem}.csv")
     model, _ = load_checkpoint(args.checkpoint)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     failed = 0
-    for wav_path in sorted(args.inputs):
-        wav_path = Path(wav_path)
+    for wav_path in inputs:
         try:
             if not wav_path.is_file():
                 raise DataError(f"input not found: {wav_path}")
@@ -181,7 +183,7 @@ def cmd_segment(args) -> int:
             write_textgrid(out_dir / (wav_path.stem + ".TextGrid"), segments, len(pred))
         print(out_csv)
     if failed:
-        raise DataError(f"{failed} of {len(args.inputs)} inputs could not be read")
+        raise DataError(f"{failed} of {len(inputs)} inputs could not be read")
     return EXIT_OK
 
 

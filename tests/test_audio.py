@@ -28,7 +28,7 @@ PCM_GUID = bytes.fromhex("0100000000001000800000aa00389b71")
 def make_extensible_wav_bytes(frames: bytes, channels=1, sample_rate=44100, subformat=PCM_GUID) -> bytes:
     block = 2 * channels
     fmt = struct.pack("<HHIIHHHHI16s", 0xFFFE, channels, sample_rate, sample_rate * block, block, 16,
-                      22, 16, 0x4 if channels == 1 else 0x3, subformat)
+                      22, 16, 0x4 if channels == 1 else (1 << channels) - 1, subformat)
     chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(frames)) + frames
     return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
 
@@ -49,13 +49,15 @@ def test_read_wav_stereo_average(tmp_path):
 
 
 @settings(max_examples=60, deadline=None)
-@given(ints=st.lists(st.integers(-32768, 32767), max_size=41), channels=st.sampled_from([1, 2]))
+@given(ints=st.lists(st.integers(-32768, 32767), max_size=41), channels=st.sampled_from([1, 2, 3, 4, 6, 8]))
 def test_read_wav_matches_stdlib_reader(tmp_path_factory, ints, channels):
     path = tmp_path_factory.getbasetemp() / "stdlib.wav"
     path.write_bytes(make_wav_bytes(np.array(ints, dtype="<i2").tobytes(), channels=channels))
     with stdlib_wave.open(str(path)) as fh:
         frames = np.frombuffer(fh.readframes(fh.getnframes()), dtype="<i2").reshape(-1, channels)
-    want = frames.mean(axis=1) / 32768.0  # exact: int16 sums and halves, over a power of two
+    # Bit-exact: float64 sums of int16 samples are exact, and scaling by a
+    # power of two commutes with the rounding of the channel mean.
+    want = frames.mean(axis=1) / 32768.0
     got = read_wav(path).samples
     assert got.dtype == np.float64
     np.testing.assert_array_equal(got, want)
@@ -306,12 +308,13 @@ def test_cut_then_stitch_recovers_frame_count(rng):
     assert (out == 1).all()
 
 
-# In make_wav_bytes' header the fmt sample rate (uint32) sits at byte 24
-# and the block align (uint16) at byte 32.
+# In make_wav_bytes' header the fmt channel count (uint16) sits at byte 22, the
+# sample rate (uint32) at byte 24 and the block align (uint16) at byte 32.
 @pytest.mark.parametrize("field, offset, value, message", [
     ("<I", 24, 0, "sample rate is 0 Hz"),
     ("<H", 32, 4, "block align 4 does not match 1 channel"),
     ("<H", 32, 1, "block align 1 does not match 1 channel"),
+    ("<H", 22, 0, "no channels"),
 ])
 def test_read_wav_rejects_inconsistent_fmt(tmp_path, field, offset, value, message):
     data = bytearray(make_wav_bytes(np.zeros(10, dtype="<i2").tobytes(), sample_rate=16000))
@@ -322,7 +325,7 @@ def test_read_wav_rejects_inconsistent_fmt(tmp_path, field, offset, value, messa
         read_wav(path)
 
 
-@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("channels", [1, 2, 3])
 def test_read_wav_extensible_pcm_reads_like_plain_pcm(tmp_path, rng, channels):
     frames = rng.integers(-32768, 32768, size=12 * channels).astype("<i2").tobytes()
     (tmp_path / "plain.wav").write_bytes(make_wav_bytes(frames, channels=channels))

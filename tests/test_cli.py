@@ -374,6 +374,23 @@ def test_segment_all_readable_exits_0(tmp_path, tiny_checkpoint):
     assert (tmp_path / "a.csv").is_file()
 
 
+def test_segment_names_each_input_once(tmp_path, capsys, monkeypatch, tiny_checkpoint):
+    monkeypatch.chdir(tmp_path)
+    wav = tmp_path / "a.wav"
+    write_wav(wav, Waveform(np.zeros(4000), 16000))
+    out = tmp_path / "out"
+    options = ["--checkpoint", str(tiny_checkpoint), "--out-dir", str(out)]
+    inputs = [str(wav), "a.wav", "./a.wav", f"{tmp_path}/./a.wav", str(wav)]  # one file, spelled four ways
+    assert cli.main(["segment", *inputs, *options]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [str(out / "a.csv")]
+
+    assert cli.main(["segment", *inputs, "gone.wav", str(tmp_path / "gone.wav"), *options]) == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [str(out / "a.csv")]
+    assert captured.err.count("input not found") == 1
+    assert "1 of 2 inputs could not be read" in captured.err
+
+
 def test_segment_zero_rate_input_exits_2(tmp_path, capsys, tiny_checkpoint):
     wavs = tmp_path / "wavs"
     wavs.mkdir()

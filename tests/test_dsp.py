@@ -1,5 +1,8 @@
-"""The strided polyphase resampler against its gather-based reference, the
-FIR filter's output length, and the band-reject filter's stop and pass bands."""
+"""The GEMM polyphase resampler against its gather-based reference, its
+bits across block splits and its traced peaks, the FIR filter's output
+length, and the band-reject filter's stop and pass bands."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,27 +16,74 @@ from ddkseg.augment import NOTCH_TAPS, band_reject
 from ddkseg.dsp import apply_fir, bandstop_fir, lowpass_fir, resample_kaiser
 
 
-@pytest.mark.parametrize("source, target", [(8000, 16000), (11025, 16000), (22050, 16000),
-                                            (44100, 16000), (48000, 16000), (16000, 44100)])
-@pytest.mark.parametrize("n", [0, 1, 2, 37, 1000, "long"])
+RATE_PAIRS = [(8000, 16000), (11025, 16000), (22050, 16000), (32000, 16000), (44100, 16000), (48000, 16000),
+              (96000, 16000), (16000, 44100)]
+
+
+def chunk_edge_length(source, target, chunks, extra):
+    """An input length whose output is `chunks` whole GEMM chunks of
+    resample_kaiser plus `extra` filter periods (negative: fewer)."""
+    g = np.gcd(source, target)
+    _, stride, _, rows, _ = dsp._resample_plan(target // g, source // g)
+    return chunks * rows * stride + extra * source // g
+
+
+@pytest.mark.parametrize("source, target", RATE_PAIRS)
+@pytest.mark.parametrize("n", [0, 1, 2, 37, 1000, "long", "chunk-1", "chunk", "chunk+1"])
 def test_resample_matches_gather_reference(source, target, n):
     if n == "long":
         n = 3 * source + 17  # an odd length of a little over three seconds
+    elif isinstance(n, str):  # one GEMM chunk of outputs, and a filter period less or more
+        n = chunk_edge_length(source, target, 1, {"chunk-1": -1, "chunk": 0, "chunk+1": 1}[n])
     x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
     y = resample_kaiser(x, source, target)
     assert len(y) == round(n * target / source)
     np.testing.assert_allclose(y, resample_kaiser_reference(x, source, target), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("source, target", [(44100, 16000), (8000, 16000), (16000, 44100)])
+@pytest.mark.parametrize("source, target", RATE_PAIRS)
 @pytest.mark.parametrize("block", [1, 161, 1000])
-def test_resample_blocks_do_not_change_the_output(monkeypatch, source, target, block):
-    # Blocks shorter than one filter period, a period and a bit, and several periods.
-    x = np.random.default_rng(block).uniform(-1.0, 1.0, 5 * source // 3 + 11)
-    monkeypatch.setattr(dsp, "RESAMPLE_BLOCK", len(x) * 10)
-    whole = resample_kaiser(x, source, target)
-    monkeypatch.setattr(dsp, "RESAMPLE_BLOCK", block)
-    np.testing.assert_array_equal(resample_kaiser(x, source, target), whole)
+def test_resample_blocks_do_not_change_the_output(source, target, block):
+    # A signal, and the same signal with a block of `block` more samples:
+    # the outputs that read none of the block keep their bits, so a signal
+    # resampled block by block gives the bits of the whole. The signals are
+    # of an odd length, and of two GEMM chunks of outputs and a filter
+    # period less, none or more, so the block starts a new chunk or not.
+    for n in [5 * source // 3 + 11] + [chunk_edge_length(source, target, 2, k) for k in (-1, 0, 1)]:
+        x = np.random.default_rng(block).uniform(-1.0, 1.0, n + block)
+        head = (n - dsp.TAPS_PER_PHASE) * target // source  # outputs a filter length before sample n
+        np.testing.assert_array_equal(resample_kaiser(x[:n], source, target)[:head],
+                                      resample_kaiser(x, source, target)[:head])
+
+
+def traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_resample_traced_peak():
+    # 3.6 MB is 25 % over the 2.89 MB that the per-phase matrix-vector
+    # resampler this layout replaced peaked at on the same call. The call
+    # also builds the filter and its GEMM bands.
+    x = np.random.default_rng(0).uniform(-1.0, 1.0, 10 * 44100)
+    peak = traced_peak(resample_kaiser, x, 44100, 16000)
+    assert peak <= 3.6e6, f"traced peak {peak / 1e6:.2f} MB"
+
+
+def test_resample_from_a_very_low_rate_stays_small():
+    # A 5 Hz header makes up = 3200 against down = 1. The per-phase
+    # resampler peaked at 19.6 MB on this call, almost all of it the design
+    # of its 204,801-tap filter; 24.5 MB (25 % more) leaves the GEMM bands
+    # no room to grow with up / down.
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, 50)
+    peak = traced_peak(resample_kaiser, x, 5, 16000)
+    assert peak <= 24.5e6, f"traced peak {peak / 1e6:.2f} MB"
+    np.testing.assert_allclose(resample_kaiser(x, 5, 16000), resample_kaiser_reference(x, 5, 16000),
+                               rtol=0, atol=1e-12)
 
 
 FILTERS = {
